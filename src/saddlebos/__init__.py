@@ -59,6 +59,7 @@ from .metrics import (
     outer_border,
     poi,
     poi360,
+    score_saddle_samples,
 )
 from .trial_io import (
     PostureSpec,

@@ -13,7 +13,8 @@ files.  Exit codes: 0 success, 1 validation failure, 2 input or geometry
 error, 3 data-quality failure.
 
 The environment variable ``SADDLE_BOS_CONFIG`` may point to a JSON file with
-default settings; explicit flags win over it.
+default settings; explicit flags win over it.  Each setting is resolved once,
+in :func:`main`, and the library validates the values it is given.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from . import trial_io as tio
 from .errors import DataQualityError, SaddleBosError
 from .geometry import (
     BosBoundary,
+    BosParams,
     BoundaryMode,
     classify_saddle_points,
     derive_bos_params,
@@ -66,29 +68,31 @@ class RunConfig:
     contains_tol: float = 1e-9
 
 
+#: JSON value types a config file may give for each setting type.  A JSON
+#: boolean is never accepted, although Python counts it as an int.
+_CONFIG_TYPES = {int: (int,), float: (int, float), str: (str,)}
+
+
 def _load_config() -> RunConfig:
+    """The defaults, overridden by the JSON file ``SADDLE_BOS_CONFIG`` names."""
     config = RunConfig()
     path = os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return config
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
     known = {f.name for f in fields(RunConfig)}
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown config keys in {path}: {sorted(unknown)}")
     for key, value in data.items():
-        setattr(config, key, type(getattr(config, key))(value))
+        kind = type(getattr(config, key))
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
+            raise ValueError(f"config key {key!r} in {path} must be a {kind.__name__}, got {value!r}")
+        setattr(config, key, kind(value))
     return config
-
-
-def _setting(args, config: RunConfig, name: str):
-    value = getattr(args, name, None)
-    return getattr(config, name) if value is None else value
-
-
-def _round12(value: float) -> float:
-    return float(f"{value:.12g}")
 
 
 def _emit_json(payload: dict, path: str | None) -> None:
@@ -101,35 +105,30 @@ def _emit_json(payload: dict, path: str | None) -> None:
 
 def _frame_dict(frame) -> dict:
     return {
-        "origin": [_round12(frame.origin.x), _round12(frame.origin.y)],
-        "rotation_rad": _round12(frame.rotation),
-        "separation": _round12(frame.separation),
+        "origin": [tio.round12(frame.origin.x), tio.round12(frame.origin.y)],
+        "rotation_rad": tio.round12(frame.rotation),
+        "separation": tio.round12(frame.separation),
     }
 
 
-def _params_dict(params) -> dict:
-    return {
-        "reach_left": _round12(params.reach_left),
-        "reach_right": _round12(params.reach_right),
-        "margin_left": _round12(params.margin_left),
-        "margin_right": _round12(params.margin_right),
-        "span_left": _round12(params.span_left),
-        "span_right": _round12(params.span_right),
-        "slope_back": _round12(params.slope_back),
-        "slope_front": _round12(params.slope_front),
-    }
+def _params_dict(params: BosParams) -> dict:
+    return {f.name: tio.round12(getattr(params, f.name)) for f in fields(BosParams)}
 
 
 # ---------------------------------------------------------------------------
 # bos
 
 
-def _posture_from_args(args, config: RunConfig) -> tio.PostureSpec:
+def _single_posture(path) -> tio.PostureSpec:
+    postures = tio.load_postures(path)
+    if len(postures) != 1:
+        raise ValueError("--posture-file must hold exactly one posture for this command")
+    return postures[0]
+
+
+def _posture_from_args(args) -> tio.PostureSpec:
     if args.posture_file:
-        postures = tio.load_postures(args.posture_file)
-        if len(postures) != 1:
-            raise ValueError("--posture-file must hold exactly one posture for this command")
-        return postures[0]
+        return _single_posture(args.posture_file)
     inline = (args.d, args.theta_lf, args.theta_rf)
     if any(v is None for v in inline):
         raise ValueError(
@@ -146,12 +145,12 @@ def _posture_from_args(args, config: RunConfig) -> tio.PostureSpec:
 
 
 def cmd_bos(args, config: RunConfig) -> int:
-    posture = _posture_from_args(args, config)
+    posture = _posture_from_args(args)
     frame = posture.frame()
     params = derive_bos_params(frame, posture.left, posture.right)
-    mode = BoundaryMode(_setting(args, config, "mode"))
+    mode = BoundaryMode(config.mode)
     boundary = BosBoundary(params, frame, mode)
-    n = int(_setting(args, config, "samples"))
+    n = config.samples
     polygon = polygon_to_task_space(frame, sample_boundary(boundary, n))
     tio.export_polygon(polygon, args.out)
     _emit_json(
@@ -172,7 +171,7 @@ def cmd_bos(args, config: RunConfig) -> int:
 # analyze
 
 
-def _load_trial(args, config: RunConfig):
+def _load_trial(args):
     frames = tio.parse_trial_csv(args.markers)
     complete = [f for f in frames if f.is_complete]
     n_total = len(frames)
@@ -191,72 +190,47 @@ def _stance_from_frame(frame_markers, args, config: RunConfig):
     anchor = "mt-mid" if getattr(args, "d_from_mt_mid", False) else "ecop"
     return mk.foot_poses(
         frame_markers,
-        ecop_fraction=float(_setting(args, config, "ecop_fraction")),
-        up_axis=str(_setting(args, config, "up_axis")),
+        ecop_fraction=config.ecop_fraction,
+        up_axis=config.up_axis,
         anchor=anchor,
     )
 
 
 def cmd_analyze(args, config: RunConfig) -> int:
-    frames, complete, n_incomplete = _load_trial(args, config)
-    up_axis = str(_setting(args, config, "up_axis"))
-    bins = int(_setting(args, config, "bins"))
-    k_sigma = float(_setting(args, config, "k_sigma"))
-    tol = float(_setting(args, config, "contains_tol"))
-    refit_every = args.refit_feet_every
-
-    traj = mk.com_trajectory(complete, up_axis)
-
-    if args.posture_file:
-        postures = tio.load_postures(args.posture_file)
-        if len(postures) != 1:
-            raise ValueError("--posture-file must hold exactly one posture for this command")
-        stances = [(postures[0].left, postures[0].right)]
-        segment_of = np.zeros(len(complete), dtype=int)
-    elif refit_every and refit_every > 0:
-        starts = range(0, len(complete), refit_every)
-        stances = [_stance_from_frame(complete[s], args, config) for s in starts]
-        segment_of = np.arange(len(complete)) // refit_every
-    else:
-        stances = [_stance_from_frame(complete[0], args, config)]
-        segment_of = np.zeros(len(complete), dtype=int)
-
-    frames_and_bounds = []
-    for left, right in stances:
-        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        frames_and_bounds.append(
-            (frame, BosBoundary(derive_bos_params(frame, left, right), frame))
-        )
+    if args.refit_feet_every < 0:
+        raise ValueError(f"--refit-feet-every must be at least 0, got {args.refit_feet_every}")
+    frames, complete, n_incomplete = _load_trial(args)
+    traj = mk.com_trajectory(complete, config.up_axis)
+    posture = _single_posture(args.posture_file) if args.posture_file else None
+    # contiguous segments, each scored against its own stance; static feet and
+    # a fixed posture are one segment of every complete frame
+    step = args.refit_feet_every if posture is None and args.refit_feet_every else len(complete)
 
     saddle_pts = np.empty_like(traj.points)
     codes = np.empty(len(traj), dtype=np.int8)
-    for seg, (frame, boundary) in enumerate(frames_and_bounds):
-        mask = segment_of == seg
-        saddle_pts[mask] = saddle_array_from_task(frame, traj.points[mask])
-        codes[mask] = classify_saddle_points(boundary, saddle_pts[mask], tol)
-
-    border_idx = mt._outer_border_indices(saddle_pts, bins, np.zeros(2))
-    border_codes = codes[border_idx]
-    report = mt.MetricsReport(
-        poi=100.0 * int(np.count_nonzero(codes >= 0)) / len(traj),
-        poi360=100.0 * int(np.count_nonzero(border_codes >= 0)) / len(border_idx),
-        n_samples=len(traj),
-        n_outer=len(border_idx),
-        covariance_ellipse=mt.covariance_ellipse(traj, k_sigma),
-    )
+    for start in range(0, len(complete), step):
+        rows = slice(start, start + step)
+        if posture is None:
+            left, right = _stance_from_frame(complete[start], args, config)
+        else:
+            left, right = posture.left, posture.right
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+        saddle_pts[rows] = saddle_array_from_task(frame, traj.points[rows])
+        codes[rows] = classify_saddle_points(boundary, saddle_pts[rows], config.contains_tol)
+        if start == 0:
+            first_frame, first_boundary = frame, boundary
+    report = mt.score_saddle_samples(traj, saddle_pts, codes, config.bins, config.k_sigma)
 
     if args.out:
         tio.export_report(report, args.out)
     else:
         _emit_json(tio.report_to_dict(report), None)
     if args.polygon_out:
-        frame, boundary = frames_and_bounds[0]
-        n = int(_setting(args, config, "samples"))
-        tio.export_polygon(
-            polygon_to_task_space(frame, sample_boundary(boundary, n)), args.polygon_out
-        )
+        polygon = sample_boundary(first_boundary, config.samples)
+        tio.export_polygon(polygon_to_task_space(first_frame, polygon), args.polygon_out)
     if args.saddle_com_out:
-        lines = ["x,y"] + [f"{_round12(x):.12g},{_round12(y):.12g}" for x, y in saddle_pts]
+        lines = ["x,y"] + [f"{tio.round12(x):.12g},{tio.round12(y):.12g}" for x, y in saddle_pts]
         Path(args.saddle_com_out).write_text(
             "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
         )
@@ -272,18 +246,12 @@ def cmd_analyze(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    n = int(_setting(args, config, "samples"))
-    bins = int(_setting(args, config, "bins"))
-    k_sigma = float(_setting(args, config, "k_sigma"))
-    tol = float(_setting(args, config, "contains_tol"))
-    up_axis = str(_setting(args, config, "up_axis"))
-
     trial = None
     if args.markers:
-        _, complete, _ = _load_trial(args, config)
+        _, complete, _ = _load_trial(args)
         left, right = _stance_from_frame(complete[0], args, config)
         trial_frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        trial = (mk.com_trajectory(complete, up_axis), trial_frame)
+        trial = (mk.com_trajectory(complete, config.up_axis), trial_frame)
 
     summary = {"postures": []}
     for posture in tio.posture_catalog():
@@ -292,7 +260,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
         boundary = BosBoundary(params, frame)
         polygon_file = out_dir / f"bos_{posture.name}.csv"
         tio.export_polygon(
-            polygon_to_task_space(frame, sample_boundary(boundary, n)), polygon_file
+            polygon_to_task_space(frame, sample_boundary(boundary, config.samples)), polygon_file
         )
         entry = {
             "name": posture.name,
@@ -303,7 +271,9 @@ def cmd_sweep(args, config: RunConfig) -> int:
         if trial is not None:
             traj, trial_frame = trial
             entry["metrics"] = tio.report_to_dict(
-                mt.compute_report(traj, boundary, trial_frame, bins, k_sigma, tol)
+                mt.compute_report(
+                    traj, boundary, trial_frame, config.bins, config.k_sigma, config.contains_tol
+                )
             )
         summary["postures"].append(entry)
 
@@ -343,7 +313,7 @@ def cmd_validate(args, config: RunConfig) -> int:
             "ok": star.ok,
             "n_rays": star.n_rays,
             "violations": [
-                _round12(v) for v in star.violations[:8]
+                tio.round12(v) for v in star.violations[:8]
             ],
         }
         convex = oracle.check_convexity(sample_boundary(boundary, args.rays))
@@ -358,14 +328,14 @@ def cmd_validate(args, config: RunConfig) -> int:
         entry["checks"]["containment_agreement"] = {
             "ok": agreement.ok,
             "agreement_pct": round(agreement.agreement_pct, 4),
-            "max_disagreement_distance": _round12(agreement.max_disagreement_distance),
+            "max_disagreement_distance": tio.round12(agreement.max_disagreement_distance),
         }
         equivariance = oracle.check_equivariance(
             posture.left, posture.right, n_motions=args.motions, seed=args.seed + i
         )
         entry["checks"]["equivariance"] = {
             "ok": equivariance.ok,
-            "max_deviation": _round12(equivariance.max_deviation),
+            "max_deviation": tio.round12(equivariance.max_deviation),
         }
         findings.append(entry)
 
@@ -459,8 +429,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _load_config()
-        return args.func(args, config)
+        flags = {
+            f.name: getattr(args, f.name)
+            for f in fields(RunConfig)
+            if getattr(args, f.name, None) is not None
+        }
+        return args.func(args, replace(_load_config(), **flags))
     except DataQualityError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DATA_QUALITY

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -163,11 +163,17 @@ class BosParams:
 
 @dataclass(frozen=True)
 class BosBoundary:
-    """A queryable base-of-support boundary in Saddle coordinates."""
+    """A queryable base-of-support boundary in Saddle coordinates.  Its shape
+    is resolved at construction, which raises DegenerateGeometryError in
+    either mode when the caps cannot close."""
 
     params: BosParams
     frame: SaddleFrame
     mode: BoundaryMode = BoundaryMode.CONTINUOUS
+    _shape: _ContinuousShape = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_shape", _continuous_shape(self.params))
 
 
 @dataclass(frozen=True)
@@ -232,22 +238,13 @@ def saddle_frame_from_ecops(right_ecop: Point2, left_ecop: Point2) -> SaddleFram
 
 def to_task_space(frame: SaddleFrame, p_saddle: Point2) -> Point2:
     """Map a Saddle-space point into task space."""
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
-    return Point2(
-        c * p_saddle.x - s * p_saddle.y + frame.origin.x,
-        s * p_saddle.x + c * p_saddle.y + frame.origin.y,
-    )
+    return Point2(*task_array_from_saddle(frame, p_saddle.as_array()[None, :])[0].tolist())
 
 
 def to_saddle_space(frame: SaddleFrame, p_task: Point2) -> Point2:
     """Map a task-space point into Saddle space (exact inverse of
     :func:`to_task_space`)."""
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
-    dx = p_task.x - frame.origin.x
-    dy = p_task.y - frame.origin.y
-    return Point2(c * dx + s * dy, -s * dx + c * dy)
+    return Point2(*saddle_array_from_task(frame, p_task.as_array()[None, :])[0].tolist())
 
 
 def task_array_from_saddle(frame: SaddleFrame, pts: np.ndarray) -> np.ndarray:
@@ -346,9 +343,9 @@ def derive_bos_params(frame: SaddleFrame, left: FootPose, right: FootPose) -> Bo
 
 def _check_feet_match_frame(frame: SaddleFrame, left: FootPose, right: FootPose) -> None:
     half = frame.separation / 2.0
-    for foot, want_y in ((left, half), (right, -half)):
-        p = to_saddle_space(frame, foot.ecop)
-        if math.hypot(p.x, p.y - want_y) > 1e-9:
+    anchors = saddle_array_from_task(frame, np.array([tuple(left.ecop), tuple(right.ecop)]))
+    for foot, (x, y), want_y in zip((left, right), anchors.tolist(), (half, -half)):
+        if math.hypot(x, y - want_y) > 1e-9:
             raise ValueError(
                 f"{foot.side.value} anchor does not match the frame it was paired with"
             )
@@ -444,11 +441,10 @@ def boundary_point(boundary: BosBoundary, phi: float) -> Point2:
     """
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
-    shape = _continuous_shape(boundary.params)  # degeneracy check applies in both modes
     if boundary.mode is BoundaryMode.STRICT:
         return _strict_point(boundary.params, wrap_positive(phi))
     w = wrap_signed(phi)
-    r = float(_continuous_radii(shape, np.array([w]))[0])
+    r = float(_continuous_radii(boundary._shape, np.array([w]))[0])
     return Point2(r * math.cos(w), r * math.sin(w))
 
 
@@ -457,13 +453,12 @@ def sample_boundary(boundary: BosBoundary, n: int) -> Polygon2:
     counterclockwise, in Saddle coordinates."""
     if n < 3:
         raise ValueError("at least 3 samples are needed to form a polygon")
-    shape = _continuous_shape(boundary.params)
     phis = TWO_PI * np.arange(n) / n
     if boundary.mode is BoundaryMode.STRICT:
         verts = np.array([tuple(_strict_point(boundary.params, p)) for p in phis])
     else:
         wrapped = np.mod(phis + math.pi, TWO_PI) - math.pi
-        r = _continuous_radii(shape, wrapped)
+        r = _continuous_radii(boundary._shape, wrapped)
         verts = np.column_stack((r * np.cos(wrapped), r * np.sin(wrapped)))
     return Polygon2(verts)
 
@@ -486,11 +481,10 @@ def classify_saddle_points(
         raise StrictModeUnsupportedError(
             "containment needs the closed continuous boundary"
         )
-    shape = _continuous_shape(boundary.params)
     pts = np.asarray(pts, dtype=float)
     r_p = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    r_b = _continuous_radii(shape, phi)
+    r_b = _continuous_radii(boundary._shape, phi)
     codes = np.where(r_p < r_b, 1, -1).astype(np.int8)
     codes[np.abs(r_p - r_b) <= tol] = 0
     codes[r_p <= ORIGIN_RADIUS] = 1

@@ -81,6 +81,11 @@ class MetricsReport:
     covariance_ellipse: CovarianceEllipse
 
 
+def _inside_pct(codes: np.ndarray) -> float:
+    """Percentage of containment codes that are inside or on the boundary."""
+    return 100.0 * int(np.count_nonzero(codes >= 0)) / len(codes)
+
+
 def poi(
     traj: ComTrajectory,
     boundary: BosBoundary,
@@ -89,14 +94,18 @@ def poi(
 ) -> float:
     """Percentage of trajectory samples inside the boundary."""
     pts = saddle_array_from_task(frame, traj.points)
-    codes = classify_saddle_points(boundary, pts, tol)
-    return 100.0 * int(np.count_nonzero(codes >= 0)) / len(traj)
+    return _inside_pct(classify_saddle_points(boundary, pts, tol))
 
 
-def _outer_border_indices(pts: np.ndarray, n_bins: int, center: np.ndarray) -> np.ndarray:
-    """Index of the farthest sample per nonempty angular sector about
-    ``center``, ordered by sector."""
-    rel = pts - center
+def _outer_border_indices(pts: np.ndarray, n_bins: int, about: str) -> np.ndarray:
+    """Index of the farthest sample per nonempty angular sector about the
+    origin or the mean sample (``about``), ordered by sector: the binning
+    every outer-border consumer shares."""
+    if n_bins < 8:
+        raise ValueError(f"n_bins must be at least 8, got {n_bins}")
+    if about not in ("origin", "mean"):
+        raise ValueError(f"about must be 'origin' or 'mean', got {about!r}")
+    rel = pts - (pts.mean(axis=0) if about == "mean" else np.zeros(2))
     radii = np.hypot(rel[:, 0], rel[:, 1])
     angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
     bins = np.minimum((angles / (TWO_PI / n_bins)).astype(int), n_bins - 1)
@@ -122,14 +131,8 @@ def outer_border(
     reference point for binning, the stance origin (default) or the mean
     sample position.
     """
-    if n_bins < 8:
-        raise ValueError("n_bins must be at least 8")
-    if about not in ("origin", "mean"):
-        raise ValueError(f"about must be 'origin' or 'mean', got {about!r}")
     pts = saddle_array_from_task(frame, traj.points)
-    center = pts.mean(axis=0) if about == "mean" else np.zeros(2)
-    idx = _outer_border_indices(pts, n_bins, center)
-    return pts[idx]
+    return pts[_outer_border_indices(pts, n_bins, about)]
 
 
 def poi360(
@@ -142,13 +145,14 @@ def poi360(
 ) -> float:
     """PoI restricted to the trajectory's angular outer border."""
     border = outer_border(traj, frame, n_bins, about)
-    codes = classify_saddle_points(boundary, border, tol)
-    return 100.0 * int(np.count_nonzero(codes >= 0)) / len(border)
+    return _inside_pct(classify_saddle_points(boundary, border, tol))
 
 
 def covariance_ellipse(traj: ComTrajectory, k_sigma: float = 2.0) -> CovarianceEllipse:
     """k-sigma ellipse of the sample cloud via eigendecomposition of the 2x2
     sample covariance (n-1 normalization)."""
+    if not (math.isfinite(k_sigma) and k_sigma > 0.0):
+        raise ValueError(f"k_sigma must be finite and positive, got {k_sigma}")
     if len(traj) < 3:
         raise ValueError("covariance ellipse needs at least 3 samples")
     pts = traj.points
@@ -168,6 +172,30 @@ def covariance_ellipse(traj: ComTrajectory, k_sigma: float = 2.0) -> CovarianceE
     )
 
 
+def score_saddle_samples(
+    traj: ComTrajectory,
+    saddle_pts: np.ndarray,
+    codes: np.ndarray,
+    n_bins: int = 360,
+    k_sigma: float = 2.0,
+    about: str = "origin",
+) -> MetricsReport:
+    """Full metrics bundle from the (n, 2) Saddle-space samples of a
+    trajectory and their (n,) containment codes, as from
+    :func:`classify_saddle_points`; each sample may be in its own stance's
+    frame."""
+    if np.shape(saddle_pts) != (len(traj), 2) or np.shape(codes) != (len(traj),):
+        raise ValueError("need one Saddle-space point and one code per trajectory sample")
+    idx = _outer_border_indices(saddle_pts, n_bins, about)
+    return MetricsReport(
+        poi=_inside_pct(codes),
+        poi360=_inside_pct(codes[idx]),
+        n_samples=len(traj),
+        n_outer=len(idx),
+        covariance_ellipse=covariance_ellipse(traj, k_sigma),
+    )
+
+
 def compute_report(
     traj: ComTrajectory,
     boundary: BosBoundary,
@@ -178,12 +206,6 @@ def compute_report(
     about: str = "origin",
 ) -> MetricsReport:
     """Full metrics bundle for one trajectory against one boundary."""
-    border = outer_border(traj, frame, n_bins, about)
-    border_codes = classify_saddle_points(boundary, border, tol)
-    return MetricsReport(
-        poi=poi(traj, boundary, frame, tol),
-        poi360=100.0 * int(np.count_nonzero(border_codes >= 0)) / len(border),
-        n_samples=len(traj),
-        n_outer=len(border),
-        covariance_ellipse=covariance_ellipse(traj, k_sigma),
-    )
+    pts = saddle_array_from_task(frame, traj.points)
+    codes = classify_saddle_points(boundary, pts, tol)
+    return score_saddle_samples(traj, pts, codes, n_bins, k_sigma, about)

@@ -8,7 +8,8 @@ covering the ten marker labels in the order LASI, RASI, LPSI, RPSI, LHEE,
 RHEE, LMT1, LMT5, RMT1, RMT5, three coordinate columns each.  Units are
 meters and seconds, decimal point only.  A marker is absent in a frame when
 all three of its cells are blank; a partially blank triple is rejected.
-Timestamps must be strictly increasing.
+Timestamps must be strictly increasing.  Blank lines are skipped, but the
+row numbers in errors still count them.
 
 Polygons export to CSV (``x,y`` rows) or JSON with 12 significant digits;
 metric reports export to JSON with a fixed key order and percentages at four
@@ -39,7 +40,6 @@ from .geometry import (
     Polygon2,
     SaddleFrame,
     Side,
-    _continuous_shape,
     derive_bos_params,
     saddle_frame_from_ecops,
 )
@@ -78,6 +78,8 @@ def parse_trial_csv(path) -> list[MarkerFrame]:
         frames: list[MarkerFrame] = []
         last_time = None
         for row_num, row in enumerate(reader, start=1):
+            if not row:
+                continue
             if len(row) != len(EXPECTED_COLUMNS):
                 raise BadRowError(row_num, "row", f"expected {len(EXPECTED_COLUMNS)} fields, got {len(row)}")
             time = _parse_cell(row[0], row_num, "time")
@@ -216,11 +218,10 @@ def random_postures(
         fw = rng.uniform(*foot_width_range)
         posture = posture_from_parameters(f"random-{len(out)}", sep, la, ra, fl, fw)
         try:
-            params = posture.params()
-            _continuous_shape(params)
+            boundary = posture.boundary()
         except DegenerateGeometryError:
             continue
-        if not _has_margin(posture, params, margin):
+        if not _has_margin(posture, boundary.params, margin):
             continue
         out.append(posture)
     return out
@@ -303,7 +304,7 @@ def _foot_from_dict(entry: dict, side: Side) -> FootPose:
 # Exports
 
 
-def _round12(value: float) -> float:
+def round12(value: float) -> float:
     """Round to 12 significant digits for stable serialized output."""
     return float(f"{value:.12g}")
 
@@ -316,11 +317,11 @@ def export_polygon(polygon: Polygon2, path, fmt: str | None = None) -> None:
     fmt = _resolve_format(path, fmt)
     if fmt == "csv":
         lines = ["x,y"]
-        lines += [f"{_round12(x):.12g},{_round12(y):.12g}" for x, y in polygon.vertices]
+        lines += [f"{round12(x):.12g},{round12(y):.12g}" for x, y in polygon.vertices]
         text = "\n".join(lines) + "\n"
     else:
         payload = {
-            "vertices": [[_round12(x), _round12(y)] for x, y in polygon.vertices],
+            "vertices": [[round12(x), round12(y)] for x, y in polygon.vertices],
             "closed": True,
         }
         text = json.dumps(payload) + "\n"
@@ -359,9 +360,9 @@ def report_to_dict(report: MetricsReport) -> dict:
         "n_samples": report.n_samples,
         "n_outer": report.n_outer,
         "covariance_ellipse": {
-            "center": [_round12(ellipse.center.x), _round12(ellipse.center.y)],
-            "semi_axes": [_round12(ellipse.semi_axes[0]), _round12(ellipse.semi_axes[1])],
-            "orientation_rad": _round12(ellipse.orientation),
+            "center": [round12(ellipse.center.x), round12(ellipse.center.y)],
+            "semi_axes": [round12(ellipse.semi_axes[0]), round12(ellipse.semi_axes[1])],
+            "orientation_rad": round12(ellipse.orientation),
         },
     }
 

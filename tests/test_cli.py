@@ -5,9 +5,21 @@ import numpy as np
 import pytest
 
 from saddlebos.cli import main
-from saddlebos import read_polygon, read_report, posture_catalog
+from saddlebos import (
+    BosBoundary,
+    com_trajectory,
+    compute_report,
+    derive_bos_params,
+    foot_poses,
+    parse_trial_csv,
+    posture_catalog,
+    read_polygon,
+    read_report,
+    saddle_frame_from_ecops,
+)
+from saddlebos.trial_io import report_to_dict
 
-from helpers import complete_row, trial_csv_text
+from helpers import TRIAL_CSV, complete_row, move_markers, parallel_marker_frame, trial_csv_text
 
 
 def write_trial(tmp_path, rows, name="trial.csv"):
@@ -184,6 +196,68 @@ def test_analyze_missing_file_exit_2(tmp_path, capsys):
     assert main(["analyze", "--markers", str(tmp_path / "nope.csv")]) == 2
 
 
+def assert_one_line_input_error(code, err, message):
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bins", "0"], "n_bins must be at least 8"),
+    (["--bins", "3"], "n_bins must be at least 8"),
+    (["--k-sigma", "-1"], "k_sigma must be finite and positive"),
+    (["--k-sigma", "nan"], "k_sigma must be finite and positive"),
+    (["--refit-feet-every", "-1"], "--refit-feet-every must be at least 0"),
+])
+def test_analyze_rejects_out_of_range_flags(tmp_path, capsys, flags, message):
+    code = main(["analyze", "--markers", str(centered_trial(tmp_path)), *flags])
+    assert_one_line_input_error(code, capsys.readouterr().err, message)
+
+
+def test_analyze_matches_library_report(capsys):
+    assert main(["analyze", "--markers", str(TRIAL_CSV)]) == 0
+    complete = [f for f in parse_trial_csv(TRIAL_CSV) if f.is_complete]
+    left, right = foot_poses(complete[0])
+    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+    boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+    report = compute_report(com_trajectory(complete), boundary, frame)
+    assert json.loads(capsys.readouterr().out) == report_to_dict(report)
+
+
+def analyze_outputs(tmp_path, trial, name, *flags):
+    """The report, polygon and Saddle-space CoM files of one analyze run."""
+    paths = [tmp_path / f"{name}-{kind}" for kind in ("report.json", "bos.csv", "com.csv")]
+    assert main([
+        "analyze", "--markers", str(trial), *flags, "--out", str(paths[0]),
+        "--polygon-out", str(paths[1]), "--saddle-com-out", str(paths[2]),
+    ]) == 0
+    return [path.read_bytes() for path in paths]
+
+
+@pytest.mark.parametrize("every", ["3000", "5000"])
+def test_analyze_refit_longer_than_trial_is_static(tmp_path, capsys, every):
+    static = analyze_outputs(tmp_path, TRIAL_CSV, "static")
+    assert analyze_outputs(tmp_path, TRIAL_CSV, "refit", "--refit-feet-every", every) == static
+
+
+def test_analyze_refit_scores_each_block_against_its_own_stance(tmp_path, capsys):
+    # ten frames on one stance, then the same ten moved rigidly half a meter away
+    rows = []
+    for k in range(20):
+        wobble = (0.01 * math.sin(k % 10), 0.01 * math.cos(k % 10))
+        frame = parallel_marker_frame(round(k * 0.01, 2), com=wobble)
+        if k >= 10:
+            frame = move_markers(frame, 0.7, (0.5, 0.2))
+        rows.append({"time": frame.time, **frame.positions})
+    trial = write_trial(tmp_path, rows)
+    report, _, com = analyze_outputs(tmp_path, trial, "refit", "--refit-feet-every", "10")
+    assert json.loads(report)["poi"] == 100.0
+    saddle = np.loadtxt(com.decode().splitlines()[1:], delimiter=",")
+    np.testing.assert_allclose(saddle[10:], saddle[:10], rtol=0, atol=1e-9)
+    static, _, _ = analyze_outputs(tmp_path, trial, "static")
+    assert json.loads(static)["poi"] == 50.0
+
+
 def test_analyze_uses_first_complete_frame_for_feet(tmp_path, capsys):
     rows = wobble_rows(20)
     rows[0]["LHEE"] = None  # force the stance to come from the second frame
@@ -262,6 +336,21 @@ def test_validate_detects_degenerate_posture(tmp_path, capsys):
     assert degenerate[0]["checks"]["construct"]["error"] == "DegenerateGeometryError"
 
 
+def test_validate_detects_cap_degenerate_posture(tmp_path, capsys):
+    # the feet's spans reach past the cap radii: the edge slopes exist, the corners do not
+    bad = tmp_path / "narrow.json"
+    bad.write_text(json.dumps({
+        "name": "narrow", "separation": 0.05,
+        "left_angle_deg": 90, "right_angle_deg": 90,
+    }))
+    assert main(VALIDATE_FAST + ["--posture-file", str(bad)]) == 1
+    findings = json.loads(capsys.readouterr().out)
+    narrow = [f for f in findings["findings"] if f["posture"] == "narrow"]
+    assert list(narrow[0]["checks"]) == ["construct"]
+    assert narrow[0]["checks"]["construct"]["error"] == "DegenerateGeometryError"
+    assert findings["n_failed_checks"] == 1
+
+
 # --- config -----------------------------------------------------------------
 
 
@@ -283,3 +372,26 @@ def test_env_config_rejects_unknown_keys(tmp_path, capsys, monkeypatch):
     config.write_text(json.dumps({"sample": 24}))
     monkeypatch.setenv("SADDLE_BOS_CONFIG", str(config))
     assert main(BOS_ARGS + ["--out", str(tmp_path / "bos.csv")]) == 2
+
+
+@pytest.mark.parametrize("data", [
+    {"samples": 3.7}, {"samples": True}, {"k_sigma": True}, {"k_sigma": "2"}, {"mode": 1},
+])
+def test_env_config_rejects_mistyped_values(tmp_path, capsys, monkeypatch, data):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(data))
+    monkeypatch.setenv("SADDLE_BOS_CONFIG", str(config))
+    code = main(BOS_ARGS + ["--out", str(tmp_path / "bos.csv")])
+    key = next(iter(data))
+    assert_one_line_input_error(code, capsys.readouterr().err, f"config key {key!r}")
+
+
+def test_env_config_int_for_float_key(tmp_path, capsys, monkeypatch):
+    trial = centered_trial(tmp_path)
+    assert main(["analyze", "--markers", str(trial), "--k-sigma", "3.0"]) == 0
+    by_flag = capsys.readouterr().out
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k_sigma": 3}))
+    monkeypatch.setenv("SADDLE_BOS_CONFIG", str(config))
+    assert main(["analyze", "--markers", str(trial)]) == 0
+    assert capsys.readouterr().out == by_flag

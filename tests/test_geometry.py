@@ -25,7 +25,7 @@ from saddlebos import (
     to_task_space,
     transform_posture,
 )
-from saddlebos.geometry import BoundaryMode
+from saddlebos.geometry import BoundaryMode, saddle_array_from_task, task_array_from_saddle
 
 from helpers import parallel_posture, rotate_xy
 
@@ -87,6 +87,24 @@ def test_round_trip_random_points():
         p = Point2(*rng.uniform(-10, 10, 2))
         q = to_saddle_space(frame, to_task_space(frame, p))
         assert math.hypot(q.x - p.x, q.y - p.y) <= 1e-12
+
+
+def test_scalar_transforms_match_array_transforms_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        frame = SaddleFrame(Point2(*rng.uniform(-10, 10, 2)), rng.uniform(-4, 4), 0.3)
+        c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+        ox, oy = frame.origin
+        pts = rng.uniform(-10, 10, (20, 2))
+        task = task_array_from_saddle(frame, pts)
+        saddle = saddle_array_from_task(frame, pts)
+        for (x, y), t, q in zip(pts.tolist(), task.tolist(), saddle.tolist()):
+            # the array kernels follow the scalar formulas' arithmetic order
+            assert tuple(t) == (c * x - s * y + ox, s * x + c * y + oy)
+            dx, dy = x - ox, y - oy
+            assert tuple(q) == (c * dx + s * dy, -s * dx + c * dy)
+            assert to_task_space(frame, Point2(x, y)) == Point2(*t)
+            assert to_saddle_space(frame, Point2(x, y)) == Point2(*q)
 
 
 def test_anchors_map_to_half_separation():
@@ -223,6 +241,13 @@ def test_degenerate_span_rejected():
     bad = replace(params, span_left=0.25)  # exceeds reach_left
     with pytest.raises(DegenerateGeometryError):
         boundary_point(BosBoundary(bad, parallel_posture().frame()), 0.0)
+
+
+@pytest.mark.parametrize("mode", list(BoundaryMode))
+def test_degenerate_caps_fail_at_construction(mode):
+    bad = replace(parallel_posture().params(), span_right=0.25)  # exceeds -reach_right
+    with pytest.raises(DegenerateGeometryError):
+        BosBoundary(bad, parallel_posture().frame(), mode)
 
 
 def test_sample_boundary_four_points():

@@ -11,15 +11,17 @@ from saddlebos import (
     Point2,
     compute_report,
     covariance_ellipse,
+    classify_saddle_points,
     outer_border,
     poi,
     poi360,
+    score_saddle_samples,
     to_task_space,
     transform_posture,
     saddle_frame_from_ecops,
     derive_bos_params,
 )
-from saddlebos.geometry import _continuous_radii, _continuous_shape
+from saddlebos.geometry import _continuous_radii, _continuous_shape, saddle_array_from_task
 
 from helpers import parallel_posture
 
@@ -191,7 +193,7 @@ def test_poi360_ignores_dominated_samples():
     phis = rng.uniform(-math.pi, math.pi, 200)
     radii = rng.uniform(0.05, 0.25, 200)
     saddle = np.column_stack((radii * np.cos(phis), radii * np.sin(phis)))
-    border_idx = np.sort(_outer_border_indices(saddle, 360, np.zeros(2)))
+    border_idx = np.sort(_outer_border_indices(saddle, 360, "origin"))
     assert len(border_idx) < len(saddle)  # some samples are dominated
     traj_full = saddle_traj_to_task(posture.frame(), saddle)
     traj_border_only = saddle_traj_to_task(posture.frame(), saddle[border_idx])
@@ -254,6 +256,13 @@ def test_covariance_ellipse_needs_three_samples():
         covariance_ellipse(traj_from_xy([[0.0, 0.0], [1.0, 1.0]]))
 
 
+@pytest.mark.parametrize("k_sigma", [0.0, -1.0, math.inf, math.nan])
+def test_covariance_ellipse_rejects_bad_k_sigma(k_sigma):
+    pts = np.array([[0.2, 0.0], [-0.2, 0.0], [0.0, 0.1], [0.0, -0.1]])
+    with pytest.raises(ValueError, match="k_sigma"):
+        covariance_ellipse(traj_from_xy(pts), k_sigma=k_sigma)
+
+
 # --- trajectory type and report -------------------------------------------------
 
 
@@ -276,3 +285,24 @@ def test_compute_report_bundle():
     assert report.n_samples == 300
     assert 0 < report.n_outer <= 360
     assert report.covariance_ellipse.semi_axes[0] > 0
+
+
+def test_compute_report_scores_its_saddle_samples():
+    posture = parallel_posture()
+    frame, boundary = posture.frame(), posture.boundary()
+    factors = np.random.default_rng(4).uniform(0.8, 1.2, 400)
+    traj = scaled_boundary_trajectory(posture, factors, n=400, seed=4)
+    saddle = saddle_array_from_task(frame, traj.points)
+    codes = classify_saddle_points(boundary, saddle)
+    for about in ("origin", "mean"):
+        report = compute_report(traj, boundary, frame, n_bins=90, k_sigma=1.5, about=about)
+        assert report == score_saddle_samples(traj, saddle, codes, 90, 1.5, about)
+        assert 0.0 < report.poi < 100.0
+        assert report.poi == poi(traj, boundary, frame)
+        assert report.poi360 == poi360(traj, boundary, frame, n_bins=90, about=about)
+    with pytest.raises(ValueError, match="n_bins"):
+        score_saddle_samples(traj, saddle, codes, n_bins=7)
+    with pytest.raises(ValueError, match="about"):
+        score_saddle_samples(traj, saddle, codes, about="centroid")
+    with pytest.raises(ValueError, match="one code per"):
+        score_saddle_samples(traj, saddle, codes[:-1])

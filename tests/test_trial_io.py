@@ -24,7 +24,7 @@ from saddlebos import (
 from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin
 from saddlebos.geometry import _continuous_shape
 
-from helpers import complete_row, trial_csv_text
+from helpers import TRIAL_CSV, complete_row, trial_csv_text
 
 
 # --- trial CSV -----------------------------------------------------------------
@@ -142,6 +142,20 @@ def test_wrong_field_count_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join([lines[0], lines[1] + ",0.5"]) + "\n", encoding="utf-8")
     with pytest.raises(BadRowError):
+        parse_trial_csv(path)
+
+
+def test_blank_lines_skipped(tmp_path):
+    path = tmp_path / "trial.csv"
+    path.write_text(TRIAL_CSV.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    assert parse_trial_csv(path) == parse_trial_csv(TRIAL_CSV)
+
+
+def test_blank_lines_still_count_as_rows(tmp_path):
+    lines = trial_csv_text([complete_row(0.0), complete_row(0.01)]).splitlines()
+    path = tmp_path / "trial.csv"
+    path.write_text("\n".join([lines[0], lines[1], "", lines[2], ","]) + "\n", encoding="utf-8")
+    with pytest.raises(BadRowError, match="row 4, field 'row': expected 31 fields, got 2"):
         parse_trial_csv(path)
 
 
