@@ -45,6 +45,7 @@ from .geometry import (
 from .markers import (
     FootGeometry,
     MarkerFrame,
+    MarkerTrial,
     com_from_pelvis,
     com_trajectory,
     foot_geometry,

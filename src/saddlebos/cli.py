@@ -172,9 +172,9 @@ def cmd_bos(args, config: RunConfig) -> int:
 
 
 def _load_trial(args):
-    frames = tio.parse_trial_csv(args.markers)
-    complete = [f for f in frames if f.is_complete]
-    n_total = len(frames)
+    trial = tio.parse_trial_csv(args.markers)
+    complete = trial.select(trial.complete)
+    n_total = len(trial)
     n_incomplete = n_total - len(complete)
     if n_total == 0:
         raise DataQualityError("trial holds no frames")
@@ -183,7 +183,7 @@ def _load_trial(args):
             f"{n_incomplete} of {n_total} frames are incomplete "
             f"(limit is {MAX_INCOMPLETE_FRACTION:.0%})"
         )
-    return frames, complete, n_incomplete
+    return complete, n_incomplete
 
 
 def _stance_from_frame(frame_markers, args, config: RunConfig):
@@ -199,12 +199,14 @@ def _stance_from_frame(frame_markers, args, config: RunConfig):
 def cmd_analyze(args, config: RunConfig) -> int:
     if args.refit_feet_every < 0:
         raise ValueError(f"--refit-feet-every must be at least 0, got {args.refit_feet_every}")
-    frames, complete, n_incomplete = _load_trial(args)
+    if args.refit_feet_every and args.posture_file:
+        raise ValueError("--refit-feet-every cannot be combined with --posture-file")
+    complete, n_incomplete = _load_trial(args)
     traj = mk.com_trajectory(complete, config.up_axis)
     posture = _single_posture(args.posture_file) if args.posture_file else None
     # contiguous segments, each scored against its own stance; static feet and
     # a fixed posture are one segment of every complete frame
-    step = args.refit_feet_every if posture is None and args.refit_feet_every else len(complete)
+    step = args.refit_feet_every or len(complete)
 
     saddle_pts = np.empty_like(traj.points)
     codes = np.empty(len(traj), dtype=np.int8)
@@ -248,7 +250,7 @@ def cmd_sweep(args, config: RunConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     trial = None
     if args.markers:
-        _, complete, _ = _load_trial(args)
+        complete, _ = _load_trial(args)
         left, right = _stance_from_frame(complete[0], args, config)
         trial_frame = saddle_frame_from_ecops(right.ecop, left.ecop)
         trial = (mk.com_trajectory(complete, config.up_axis), trial_frame)

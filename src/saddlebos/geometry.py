@@ -342,10 +342,14 @@ def derive_bos_params(frame: SaddleFrame, left: FootPose, right: FootPose) -> Bo
 
 
 def _check_feet_match_frame(frame: SaddleFrame, left: FootPose, right: FootPose) -> None:
+    # the anchors belong at origin +/- R(rotation) (0, separation/2) in task space
     half = frame.separation / 2.0
-    anchors = saddle_array_from_task(frame, np.array([tuple(left.ecop), tuple(right.ecop)]))
-    for foot, (x, y), want_y in zip((left, right), anchors.tolist(), (half, -half)):
-        if math.hypot(x, y - want_y) > 1e-9:
+    ux = -math.sin(frame.rotation) * half
+    uy = math.cos(frame.rotation) * half
+    for foot, sign in ((left, 1.0), (right, -1.0)):
+        want_x = frame.origin.x + sign * ux
+        want_y = frame.origin.y + sign * uy
+        if math.hypot(foot.ecop.x - want_x, foot.ecop.y - want_y) > 1e-9:
             raise ValueError(
                 f"{foot.side.value} anchor does not match the frame it was paired with"
             )

@@ -7,6 +7,10 @@ foot contributes its sole dimensions, its anchor point (eCoP) placed a
 configurable fraction of the way from the heel to the metatarsal midpoint,
 and its orientation relative to the line connecting the two anchors.
 
+A trial is held column-wise in a :class:`MarkerTrial` (times plus an
+``(n, 10, 3)`` coordinate array, NaN where a marker is absent); a
+:class:`MarkerFrame` is one row of it, keyed by label.
+
 Capture systems disagree on which axis points up, so every operation takes
 an ``up_axis`` argument.  Projection to the ground plane drops that axis and
 keeps the remaining two in a right-handed order: z-up keeps (x, y), y-up
@@ -16,8 +20,8 @@ keeps (z, x), x-up keeps (y, z).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -36,6 +40,8 @@ FOOT_LABELS = {
 }
 
 _GROUND_AXES = {"z": (0, 1), "y": (2, 0), "x": (1, 2)}
+
+_ABSENT = (math.nan, math.nan, math.nan)
 
 #: Sole dimensions below this are treated as marker errors.
 MIN_FOOT_DIMENSION = 1e-3
@@ -74,6 +80,65 @@ class MarkerFrame:
         return tuple(label for label in MARKER_LABELS if label not in self.positions)
 
 
+@dataclass(frozen=True, eq=False)
+class MarkerTrial:
+    """A whole trial, column-wise.
+
+    ``times`` is (n,) and ``xyz`` is (n, 10, 3) in :data:`MARKER_LABELS`
+    order, both C-contiguous float64, with NaN coordinates for an absent
+    marker.  ``complete`` is the (n,) mask of rows holding all ten markers.
+    Indexing and iteration give :class:`MarkerFrame` rows.
+    """
+
+    times: np.ndarray
+    xyz: np.ndarray
+    complete: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        times = np.ascontiguousarray(self.times, dtype=np.float64)
+        xyz = np.ascontiguousarray(self.xyz, dtype=np.float64)
+        if times.ndim != 1 or xyz.shape != (len(times), len(MARKER_LABELS), 3):
+            raise ValueError(
+                f"a trial needs times (n,) and xyz (n, {len(MARKER_LABELS)}, 3), "
+                f"got {times.shape} and {xyz.shape}"
+            )
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "xyz", xyz)
+        object.__setattr__(self, "complete", ~np.isnan(xyz).any(axis=(1, 2)))
+
+    @classmethod
+    def from_frames(cls, frames: Iterable[MarkerFrame]) -> MarkerTrial:
+        frames = list(frames)
+        rows = [[f.positions.get(label, _ABSENT) for label in MARKER_LABELS] for f in frames]
+        xyz = np.array(rows, dtype=np.float64).reshape(len(frames), len(MARKER_LABELS), 3)
+        return cls(np.array([f.time for f in frames], dtype=np.float64), xyz)
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def __getitem__(self, i: int) -> MarkerFrame:
+        positions = {
+            label: tuple(xyz)
+            for label, xyz in zip(MARKER_LABELS, self.xyz[i].tolist())
+            if not math.isnan(xyz[0])
+        }
+        return MarkerFrame(self.times[i].item(), positions)
+
+    def __iter__(self) -> Iterator[MarkerFrame]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MarkerTrial):
+            return NotImplemented
+        return np.array_equal(self.times, other.times) and np.array_equal(
+            self.xyz, other.xyz, equal_nan=True
+        )
+
+    def select(self, mask: np.ndarray) -> MarkerTrial:
+        """The rows where the boolean ``mask`` is true."""
+        return MarkerTrial(self.times[mask], self.xyz[mask])
+
+
 @dataclass(frozen=True)
 class FootGeometry:
     """Ground-plane geometry of one foot.
@@ -91,12 +156,16 @@ class FootGeometry:
     orientation: float | None = None
 
 
-def ground_projection(xyz: tuple[float, float, float], up_axis: str = "z") -> Point2:
-    """Project a 3D marker onto the ground plane by dropping the up axis."""
+def _ground_axes(up_axis: str) -> tuple[int, int]:
     try:
-        i, j = _GROUND_AXES[up_axis]
+        return _GROUND_AXES[up_axis]
     except KeyError:
         raise ValueError(f"up_axis must be one of 'x', 'y', 'z', got {up_axis!r}") from None
+
+
+def ground_projection(xyz: tuple[float, float, float], up_axis: str = "z") -> Point2:
+    """Project a 3D marker onto the ground plane by dropping the up axis."""
+    i, j = _ground_axes(up_axis)
     return Point2(xyz[i], xyz[j])
 
 
@@ -108,11 +177,7 @@ def _marker(frame: MarkerFrame, label: str, up_axis: str) -> Point2:
 
 def com_from_pelvis(frame: MarkerFrame, up_axis: str = "z") -> Point2:
     """Ground-plane centroid of the four pelvic markers."""
-    pts = [_marker(frame, label, up_axis) for label in PELVIS_LABELS]
-    return Point2(
-        sum(p.x for p in pts) / 4.0,
-        sum(p.y for p in pts) / 4.0,
-    )
+    return Point2(*com_trajectory([frame], up_axis).points[0].tolist())
 
 
 def foot_geometry(
@@ -193,13 +258,23 @@ def foot_poses(
     return poses[0], poses[1]
 
 
-def com_trajectory(frames: Iterable[MarkerFrame], up_axis: str = "z") -> ComTrajectory:
-    """Centre-of-mass trajectory over the given frames (all of which must
-    carry the pelvic markers)."""
-    times = []
-    coords = []
-    for frame in frames:
-        com = com_from_pelvis(frame, up_axis)
-        times.append(frame.time)
-        coords.append((com.x, com.y))
-    return ComTrajectory(np.array(times, dtype=float), np.array(coords, dtype=float))
+def com_trajectory(
+    trial: MarkerTrial | Iterable[MarkerFrame], up_axis: str = "z"
+) -> ComTrajectory:
+    """Centre-of-mass trajectory over a trial (or any iterable of frames),
+    every row of which must carry the pelvic markers."""
+    if not isinstance(trial, MarkerTrial):
+        trial = MarkerTrial.from_frames(trial)
+    i, j = _ground_axes(up_axis)
+    pelvis = trial.xyz[:, [MARKER_LABELS.index(label) for label in PELVIS_LABELS]]
+    absent = np.isnan(pelvis[:, :, 0])
+    if absent.any():
+        first_row = absent[absent.any(axis=1).argmax()]
+        raise MissingMarkerError(PELVIS_LABELS[first_row.argmax()])
+    # summed left to right from 0, as the built-in sum() of Python <= 3.11
+    # does, so that -0.0 markers give +0.0 and rounding follows marker order
+    points = np.empty((len(trial), 2))
+    for col, axis in enumerate((i, j)):
+        p = pelvis[:, :, axis]
+        points[:, col] = ((((0.0 + p[:, 0]) + p[:, 1]) + p[:, 2]) + p[:, 3]) / 4.0
+    return ComTrajectory(trial.times, points)

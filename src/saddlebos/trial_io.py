@@ -11,6 +11,12 @@ all three of its cells are blank; a partially blank triple is rejected.
 Timestamps must be strictly increasing.  Blank lines are skipped, but the
 row numbers in errors still count them.
 
+A trial is read in one pass with numpy.  A file the fast path does not
+recognise as plainly valid (other bytes than digits, ``.eE+-``, commas and
+``\n``, blank lines, a blank time, ragged rows, a partial triple, a
+non-finite value, time not strictly increasing) is read again row by row,
+which returns the same values or raises the error naming the row and field.
+
 Polygons export to CSV (``x,y`` rows) or JSON with 12 significant digits;
 metric reports export to JSON with a fixed key order and percentages at four
 decimal places, so identical inputs produce byte-identical files.
@@ -19,6 +25,7 @@ decimal places, so identical inputs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -43,12 +50,15 @@ from .geometry import (
     derive_bos_params,
     saddle_frame_from_ecops,
 )
-from .markers import MARKER_LABELS, MarkerFrame
+from .markers import MARKER_LABELS, MarkerFrame, MarkerTrial
 from .metrics import CovarianceEllipse, MetricsReport
 
 EXPECTED_COLUMNS = ("time",) + tuple(
     f"{label}_{axis}" for label in MARKER_LABELS for axis in "xyz"
 )
+
+_HEADER_LINE = (",".join(EXPECTED_COLUMNS) + "\n").encode("ascii")
+_NUMBER_BYTES = b"0123456789.eE+-,\n"
 
 DEFAULT_FOOT_LENGTH = 0.25
 DEFAULT_FOOT_WIDTH = 0.10
@@ -58,12 +68,57 @@ DEFAULT_FOOT_WIDTH = 0.10
 # Trial CSV
 
 
-def parse_trial_csv(path) -> list[MarkerFrame]:
-    """Read a wide-format marker trial into a list of frames.
+def parse_trial_csv(path) -> MarkerTrial:
+    """Read a wide-format marker trial.
 
     Raises BadHeaderError, BadRowError, or NonMonotonicTimeError on
     malformed input; see the module docstring for the schema.
     """
+    with open(path, "rb") as fh:
+        trial = _read_columns(fh.read())
+    return trial if trial is not None else MarkerTrial.from_frames(_read_rows(path))
+
+
+def _read_columns(data: bytes) -> MarkerTrial | None:
+    """The trial in ``data`` if it is plainly valid, else None (never raises
+    on bad input: the row reader then finds and reports the fault)."""
+    if not data.startswith(_HEADER_LINE):
+        return None
+    body = data[len(_HEADER_LINE):]
+    if not body.endswith(b"\n"):
+        body += b"\n"
+    if (
+        body.translate(None, _NUMBER_BYTES)
+        or body.startswith((b"\n", b","))
+        or b"\n\n" in body
+        or b"\n," in body
+    ):
+        return None
+    # every blank cell becomes nan; two passes cover runs of blank cells
+    if b",," in body:
+        body = body.replace(b",,", b",nan,").replace(b",,", b",nan,")
+    if b",\n" in body:
+        body = body.replace(b",\n", b",nan\n")
+    try:
+        table = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(EXPECTED_COLUMNS):
+        return None
+    times = table[:, 0]
+    xyz = table[:, 1:].reshape(len(table), len(MARKER_LABELS), 3)
+    absent = np.isnan(xyz)
+    if (
+        (absent.any(axis=2) != absent.all(axis=2)).any()
+        or np.isinf(table).any()
+        or (np.diff(times) <= 0.0).any()
+    ):
+        return None
+    return MarkerTrial(times, xyz)
+
+
+def _read_rows(path) -> list[MarkerFrame]:
+    """Row-by-row reader: the reference for the schema and its errors."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:

@@ -214,6 +214,17 @@ def test_analyze_rejects_out_of_range_flags(tmp_path, capsys, flags, message):
     assert_one_line_input_error(code, capsys.readouterr().err, message)
 
 
+def test_analyze_rejects_refit_with_posture_file(tmp_path, capsys):
+    posture = tmp_path / "posture.json"
+    posture.write_text('{"separation": 0.3, "left_angle_deg": 90, "right_angle_deg": 90}')
+    code = main([
+        "analyze", "--markers", str(centered_trial(tmp_path)),
+        "--posture-file", str(posture), "--refit-feet-every", "5",
+    ])
+    message = "--refit-feet-every cannot be combined with --posture-file"
+    assert_one_line_input_error(code, capsys.readouterr().err, message)
+
+
 def test_analyze_matches_library_report(capsys):
     assert main(["analyze", "--markers", str(TRIAL_CSV)]) == 0
     complete = [f for f in parse_trial_csv(TRIAL_CSV) if f.is_complete]

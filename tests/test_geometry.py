@@ -176,6 +176,27 @@ def test_mismatched_frame_rejected():
         derive_bos_params(other, posture.left, posture.right)
 
 
+@pytest.mark.parametrize("angle", [0.0, 0.7, 2.5, -1.9])
+def test_foot_off_its_frame_rejected(angle):
+    # rotated and shifted, so that a sign slip in the expected anchors shows
+    posture = parallel_posture()
+
+    def moved(foot, dx=0.0, dy=0.0):
+        x, y = rotate_xy(foot.ecop.x, foot.ecop.y, angle)
+        return replace(foot, ecop=Point2(x + 0.4 + dx, y - 0.2 + dy))
+
+    left, right = moved(posture.left), moved(posture.right)
+    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+    derive_bos_params(frame, left, right)
+    derive_bos_params(frame, moved(posture.left, 1e-10), moved(posture.right, 0.0, -1e-10))
+    for side, feet in (
+        ("left", (moved(posture.left, 1e-8), right)),
+        ("right", (left, moved(posture.right, 0.0, -1e-8))),
+    ):
+        with pytest.raises(ValueError, match=f"^{side} anchor does not match the frame"):
+            derive_bos_params(frame, *feet)
+
+
 def test_degenerate_slope_denominator():
     # both feet aligned with the anchor line contribute identical margins
     posture = parallel_posture()

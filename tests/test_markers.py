@@ -13,10 +13,11 @@ from saddlebos import (
     com_trajectory,
     foot_geometry,
     foot_poses,
+    parse_trial_csv,
 )
-from saddlebos.markers import ground_projection
+from saddlebos.markers import MARKER_LABELS, PELVIS_LABELS, MarkerTrial, ground_projection
 
-from helpers import move_markers, parallel_marker_frame
+from helpers import TRIAL_CSV, move_markers, parallel_marker_frame
 
 
 def test_com_symmetric_markers():
@@ -211,3 +212,87 @@ def test_com_trajectory_over_frames():
     assert len(traj) == 5
     assert traj.points[3, 0] == pytest.approx(0.03, abs=1e-12)
     assert np.all(np.diff(traj.times) > 0)
+
+
+def sequential_centroid(values):
+    """The reference CoM arithmetic: left to right from zero, then / 4."""
+    total = 0
+    for v in values:
+        total += v
+    return total / 4.0
+
+
+def test_com_trajectory_matches_per_frame_reference_bit_for_bit():
+    trial = parse_trial_csv(TRIAL_CSV)
+    points = com_trajectory(trial).points
+    reference = np.array([
+        [sequential_centroid(frame.positions[label][axis] for label in PELVIS_LABELS)
+         for axis in (0, 1)]
+        for frame in trial
+    ])
+    per_frame = np.array([tuple(com_from_pelvis(frame)) for frame in trial])
+    assert points.tobytes() == reference.tobytes()
+    assert per_frame.tobytes() == reference.tobytes()
+
+
+def pelvis_frame(xs):
+    return MarkerFrame(0.0, {label: (x, 0.0, 1.0) for label, x in zip(PELVIS_LABELS, xs)})
+
+
+def test_com_sums_pelvic_markers_in_label_order():
+    # a compensated sum would give 2 / 4
+    frame = pelvis_frame((1e16, 1.0, -1e16, 1.0))
+    assert com_from_pelvis(frame).x == 0.25
+    assert com_trajectory([frame]).points[0, 0] == 0.25
+
+
+def test_com_of_negative_zero_markers_is_positive_zero():
+    frame = pelvis_frame((-0.0,) * 4)
+    assert math.copysign(1.0, com_from_pelvis(frame).x) == 1.0
+    assert math.copysign(1.0, com_trajectory([frame]).points[0, 0]) == 1.0
+
+
+def test_com_trajectory_names_first_missing_pelvic_marker():
+    frames = [parallel_marker_frame(time=t / 100) for t in range(3)]
+    for k, dropped in ((1, ("LPSI", "RPSI")), (2, ("RASI",))):
+        positions = {lb: xyz for lb, xyz in frames[k].positions.items() if lb not in dropped}
+        frames[k] = MarkerFrame(frames[k].time, positions)
+    with pytest.raises(MissingMarkerError) as err:
+        com_trajectory(MarkerTrial.from_frames(frames))
+    assert err.value.label == "LPSI"
+
+
+def test_marker_trial_rows_round_trip():
+    frames = [parallel_marker_frame(time=t / 100, com=(0.01 * t, 0.0)) for t in range(4)]
+    frames[2] = MarkerFrame(frames[2].time, {
+        lb: xyz for lb, xyz in frames[2].positions.items() if lb not in ("LASI", "RMT5")
+    })
+    trial = MarkerTrial.from_frames(frames)
+    assert len(trial) == 4
+    assert trial.xyz.shape == (4, len(MARKER_LABELS), 3)
+    assert trial.times.flags.c_contiguous and trial.xyz.flags.c_contiguous
+    assert trial.complete.tolist() == [True, True, False, True]
+    assert list(trial) == frames
+    assert trial[2].missing == ("LASI", "RMT5")
+    assert trial[-1] == frames[-1]
+    complete = trial.select(trial.complete)
+    assert list(complete) == [frames[0], frames[1], frames[3]]
+    assert complete.complete.all()
+
+
+def test_marker_trial_equality_counts_nan_as_equal():
+    frames = [parallel_marker_frame(time=t / 100) for t in range(3)]
+    frames[1] = MarkerFrame(frames[1].time, {"LASI": (0.0, 0.0, 1.0)})
+    trial = MarkerTrial.from_frames(frames)
+    assert trial == MarkerTrial.from_frames(frames)
+    assert trial != MarkerTrial(trial.times + 1.0, trial.xyz)
+    assert trial != MarkerTrial.from_frames(frames[:2])
+    assert trial != frames
+
+
+def test_marker_trial_rejects_bad_shapes():
+    with pytest.raises(ValueError):
+        MarkerTrial(np.zeros(3), np.zeros((3, 9, 3)))
+    with pytest.raises(ValueError):
+        MarkerTrial(np.zeros(3), np.zeros((2, len(MARKER_LABELS), 3)))
+    assert len(MarkerTrial.from_frames([])) == 0

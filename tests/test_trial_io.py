@@ -1,8 +1,10 @@
 import json
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from saddlebos import (
     BadHeaderError,
@@ -21,7 +23,8 @@ from saddlebos import (
     read_polygon,
     read_report,
 )
-from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin
+from saddlebos.markers import MarkerTrial
+from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin, _read_rows
 from saddlebos.geometry import _continuous_shape
 
 from helpers import TRIAL_CSV, complete_row, trial_csv_text
@@ -157,6 +160,128 @@ def test_blank_lines_still_count_as_rows(tmp_path):
     path.write_text("\n".join([lines[0], lines[1], "", lines[2], ","]) + "\n", encoding="utf-8")
     with pytest.raises(BadRowError, match="row 4, field 'row': expected 31 fields, got 2"):
         parse_trial_csv(path)
+
+
+def reference_trial(path):
+    return MarkerTrial.from_frames(_read_rows(path))
+
+
+def assert_same_trial(got, want):
+    assert got == want
+    # bit for bit, so that -0.0 and NaN payloads count too
+    assert got.times.tobytes() == want.times.tobytes()
+    assert got.xyz.tobytes() == want.xyz.tobytes()
+
+
+def dropout_trial(tmp_path):
+    """Blank triples at the start, middle and end of rows, two of them adjacent."""
+    rows = [complete_row(round(0.01 * k, 2), com=(0.01 * k, -0.02 * k)) for k in range(6)]
+    rows[1]["LASI"] = None
+    rows[2]["RMT5"] = None
+    rows[3]["LMT1"] = rows[3]["LMT5"] = None
+    rows[5]["RMT1"] = rows[5]["RMT5"] = None
+    return write_trial(tmp_path, rows)
+
+
+def test_plain_trials_take_the_column_reader(tmp_path, monkeypatch):
+    trials = [TRIAL_CSV, dropout_trial(tmp_path)]
+    want = [reference_trial(path) for path in trials]
+
+    def no_row_reader(path):
+        raise AssertionError(f"{path} fell back to the row reader")
+
+    monkeypatch.setattr("saddlebos.trial_io._read_rows", no_row_reader)
+    for path, reference in zip(trials, want):
+        assert_same_trial(parse_trial_csv(path), reference)
+    assert parse_trial_csv(trials[1]).complete.tolist() == [True, False, False, False, True, False]
+
+
+COLUMN_COUNT = len(EXPECTED_COLUMNS)
+
+# cells the fast path must leave to the row reader, plus strings over its own
+# byte alphabet that one number parser might accept and the other not
+ODD_CELLS = st.sampled_from([
+    "nan", "NaN", "inf", "-inf", "1e999", "-1e999", " 1.5", "1.5 ", "1_0", "0x1p3",
+    '"1,5"', "", "+", "-", ".", "e5", "1e", "1.2.3", "--1", "+.5", "5.", ".5e-3",
+    "1E+05", "-0", "-0.0", "00.1", "1e-400",
+]) | st.text(alphabet="0123456789.eE+-", min_size=1, max_size=5)
+
+
+NUMBER_STYLES = ("{!r}", "{:.3f}", "{:.6e}", "{:g}", "{:.12g}")
+
+
+def number_cell(rng):
+    value = rng.choice([-0.0, 0.0, rng.uniform(-2.0, 2.0) * 10.0 ** rng.randint(-8, 8)])
+    return rng.choice(NUMBER_STYLES).format(value)
+
+
+@st.composite
+def trial_texts(draw):
+    """Trial CSV text: a valid table, then up to three injected faults.
+
+    The valid table comes from one drawn seed, which keeps each example to a
+    few dozen choices; the faults are drawn one by one."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    times = sorted(rng.sample(range(-1000, 1000), rng.randint(0, 5)))
+    rows = []
+    for t in times:
+        row = [rng.choice(NUMBER_STYLES).format(t / 100)]
+        row += [number_cell(rng) for _ in range(COLUMN_COUNT - 1)]
+        for k in rng.sample(range(10), rng.choice([0, 0, 1, 2, 3])):
+            row[1 + 3 * k : 4 + 3 * k] = ["", "", ""]
+        rows.append(row)
+    header = list(EXPECTED_COLUMNS)
+    lines_before = {}
+    widths = {}
+    newline = "\n"
+    for fault in draw(st.lists(st.sampled_from([
+        "partial", "odd", "time", "ragged", "blank-line", "crlf", "header",
+    ]), max_size=3)):
+        if fault == "crlf":
+            newline = "\r\n"
+        elif fault == "header":
+            header[0] = " time"
+        elif fault == "blank-line":
+            at = draw(st.integers(0, len(rows)))
+            lines_before[at] = lines_before.get(at, 0) + 1
+        elif rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            if fault == "partial":
+                k = draw(st.integers(0, 9))
+                for a in draw(st.lists(st.integers(0, 2), min_size=1, max_size=2)):
+                    row[1 + 3 * k + a] = ""
+            elif fault == "odd":
+                row[draw(st.integers(0, COLUMN_COUNT - 1))] = draw(ODD_CELLS)
+            elif fault == "time":
+                row[0] = draw(st.sampled_from(["", rows[0][0], rows[-1][0], "-5.0"]))
+            else:
+                widths[id(row)] = draw(st.integers(1, COLUMN_COUNT + 1))
+    lines = [",".join(header)]
+    for i, row in enumerate(rows):
+        row = (row + ["0.5"])[: widths.get(id(row), COLUMN_COUNT)]
+        lines += [""] * lines_before.get(i, 0) + [",".join(row)]
+    lines += [""] * lines_before.get(len(rows), 0)
+    ending = newline if draw(st.booleans()) else ""
+    return newline.join(lines) + ending
+
+
+def outcome(read, path):
+    try:
+        return read(path), None
+    except Exception as exc:  # every error the two readers raise is compared
+        return None, (type(exc), str(exc))
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=trial_texts())
+def test_column_reader_agrees_with_row_reader(tmp_path, text):
+    path = tmp_path / "trial.csv"
+    path.write_bytes(text.encode("ascii"))
+    got, got_error = outcome(parse_trial_csv, path)
+    want, want_error = outcome(reference_trial, path)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_trial(got, want)
 
 
 # --- posture catalog -------------------------------------------------------------
