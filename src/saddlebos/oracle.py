@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .geometry import (
     TWO_PI,
@@ -116,13 +115,12 @@ def point_in_polygon(polygon: Polygon2, p: Point2, tol: float = 1e-9) -> Contain
 def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
     """Vectorized even-odd containment codes (+1/0/-1) for (n, 2) points.
 
-    An edge straddles a point's horizontal line exactly when the point's y
-    falls in the edge's half-open y interval, so sorting the points by y
-    turns the straddle search into two binary searches per edge and only the
-    straddling point/edge pairs are tested for a crossing.  The On test only
-    needs exact edge distances for points near a vertex (every boundary
-    point lies within half an edge length of one), so a k-d tree prefilter
-    keeps that work sparse too.
+    Both tests share one list of candidate point/edge pairs: with the points
+    sorted by y, two binary searches per edge find the points whose y lies
+    within a margin (2 * tol plus four ulps of the largest |y|, so rounding
+    cannot hide a point within tol) of the edge's y range.  Pairs inside the
+    edge's half-open y interval decide the even-odd crossings, and a point
+    within tol of any of its edges, by ``_distance_to_edges``' formula, is On.
     """
     verts = polygon.vertices
     points = np.asarray(points, dtype=float)
@@ -130,35 +128,31 @@ def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) ->
     x1, y1 = verts[:, 0], verts[:, 1]
     nxt = np.roll(verts, -1, axis=0)
     x2, y2 = nxt[:, 0], nxt[:, 1]
+    abx, aby = x2 - x1, y2 - y1
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = np.where(y2 != y1, (x2 - x1) / np.where(y2 != y1, y2 - y1, 1.0), 0.0)
+        slope = np.where(y2 != y1, abx / np.where(y2 != y1, aby, 1.0), 0.0)
 
     order = np.argsort(py, kind="stable")
     py_sorted = py[order]
     y_lo = np.minimum(y1, y2)
     y_hi = np.maximum(y1, y2)
-    first = np.searchsorted(py_sorted, y_lo, side="left")
-    last = np.searchsorted(py_sorted, y_hi, side="left")
+    margin = 2.0 * tol + 4.0 * np.spacing(np.abs(y1).max())
+    first = np.searchsorted(py_sorted, y_lo - margin, side="left")
+    last = np.searchsorted(py_sorted, y_hi + margin, side="right")
     pair_counts = last - first
-    total = int(pair_counts.sum())
+    # pair k of edge j is the point at y-order position first[j] + k
+    e = np.repeat(np.arange(len(verts)), pair_counts)
+    shift = np.cumsum(pair_counts) - pair_counts - first
+    pt = order[np.arange(len(e)) - np.repeat(shift, pair_counts)]
+    qx, qy = px[pt], py[pt]
+    ax, ay, dx, dy = x1[e], y1[e], abx[e], aby[e]
 
-    inside = np.zeros(len(points), dtype=bool)
-    if total:
-        edge_ids = np.repeat(np.arange(len(verts)), pair_counts)
-        offsets = np.concatenate(([0], np.cumsum(pair_counts)[:-1]))
-        pos = np.arange(total) - np.repeat(offsets, pair_counts) + np.repeat(first, pair_counts)
-        pt_ids = order[pos]
-        xc = x1[edge_ids] + (py[pt_ids] - y1[edge_ids]) * slope[edge_ids]
-        crossing = px[pt_ids] < xc
-        counts = np.bincount(pt_ids[crossing], minlength=len(points))
-        inside = (counts % 2) == 1
-
+    crossing = (y_lo[e] <= qy) & (qy < y_hi[e]) & (qx < ax + (qy - ay) * slope[e])
+    inside = np.bincount(pt[crossing], minlength=len(points)) % 2 == 1
     codes = np.where(inside, 1, -1).astype(np.int8)
-    max_half_edge = float(np.hypot(x2 - x1, y2 - y1).max()) / 2.0
-    near_vertex, _ = cKDTree(verts).query(points, workers=-1)
-    for i in np.nonzero(near_vertex <= max_half_edge + tol)[0]:
-        if _distance_to_edges(verts, points[i]) <= tol:
-            codes[i] = 0
+
+    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    codes[pt[np.hypot(qx - (ax + t * dx), qy - (ay + t * dy)) <= tol]] = 0
     return codes
 
 
@@ -260,6 +254,8 @@ def check_containment_agreement(
 ) -> AgreementReport:
     """Compare radial containment against even-odd containment on the
     sampled polygon for uniform random points over the bounding box."""
+    if n_points < 1:
+        raise ValueError(f"n_points must be at least 1, got {n_points}")
     poly = sample_boundary(boundary, n_vertices)
     lo, hi = poly.bounding_box()
     rng = np.random.default_rng(seed)
@@ -292,6 +288,8 @@ def check_equivariance(
     """Verify that rigid task-space motions commute with the boundary
     pipeline: moving the feet then building the polygon matches building
     the polygon then moving it."""
+    if n_motions < 1:
+        raise ValueError(f"n_motions must be at least 1, got {n_motions}")
     rng = np.random.default_rng(seed)
     base = bos_polygon_task_space(left, right, n_vertices).vertices
     worst = 0.0

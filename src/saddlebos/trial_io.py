@@ -259,6 +259,8 @@ def random_postures(
     boundary-construction degeneracies (cap corners, edge slopes) and keeps
     both anchors strictly interior.
     """
+    if n < 0:
+        raise ValueError(f"random posture count n must be at least 0, got {n}")
     rng = np.random.default_rng(seed)
     out: list[PostureSpec] = []
     attempts = 0

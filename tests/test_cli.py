@@ -333,6 +333,20 @@ def test_validate_passes_and_is_deterministic(capsys):
     assert findings["n_postures"] == 8  # catalog + 2 random
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--points", "0"], "n_points must be at least 1, got 0"),
+    (["--points", "-1"], "n_points must be at least 1, got -1"),
+    (["--motions", "0"], "n_motions must be at least 1, got 0"),
+    (["--motions", "-1"], "n_motions must be at least 1, got -1"),
+    (["--random-postures", "-1"], "random posture count n must be at least 0, got -1"),
+])
+def test_validate_rejects_out_of_range_counts(capsys, flags, message):
+    code = main(VALIDATE_FAST + flags)
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, message)
+    assert captured.out == ""
+
+
 def test_validate_detects_degenerate_posture(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

@@ -1,11 +1,14 @@
-"""Modules of the package use one another only through public names.
+"""Modules of the package use one another only through public names, and
+nothing outside the standard library but numpy.
 
 A module that imports or dereferences another module's ``_private`` name
 depends on that module's internals; such a helper is either made public or
-its job moves behind a public function of its own module.
+its job moves behind a public function of its own module.  numpy is the
+package's only declared dependency.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,3 +79,35 @@ def test_checker_finds_private_imports_and_attributes():
 @pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
 def test_no_private_names_across_modules(path):
     assert private_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+ALLOWED_TOP_LEVEL = sys.stdlib_module_names | {"numpy", "saddlebos"}
+
+
+def foreign_imports(tree: ast.AST) -> list[str]:
+    """Modules that ``tree`` imports from outside the standard library,
+    numpy and the package itself, in source order."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.lineno, node.module))
+    return [name for _, name in sorted(names) if name.split(".")[0] not in ALLOWED_TOP_LEVEL]
+
+
+def test_checker_finds_foreign_imports():
+    source = (
+        "import math, numpy as np\n"
+        "from scipy.spatial import cKDTree\n"
+        "from . import geometry\n"
+        "from saddlebos.errors import SaddleBosError\n"
+        "def f():\n"
+        "    import pandas\n"
+    )
+    assert foreign_imports(ast.parse(source)) == ["scipy.spatial", "pandas"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_imports_only_stdlib_and_numpy(path):
+    assert foreign_imports(ast.parse(path.read_text(encoding="utf-8"))) == []

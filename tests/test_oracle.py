@@ -2,6 +2,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlebos import (
     BosBoundary,
@@ -10,6 +12,7 @@ from saddlebos import (
     Polygon2,
     classify_saddle_points,
     posture_catalog,
+    random_postures,
     sample_boundary,
 )
 from saddlebos.oracle import (
@@ -26,6 +29,12 @@ from helpers import parallel_posture
 
 def unit_square():
     return Polygon2(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+
+def hook():
+    return Polygon2(np.array([
+        [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0], [2.0, 1.0], [0.0, 1.0],
+    ]))
 
 
 def star_pentagon():
@@ -55,24 +64,83 @@ def test_point_on_vertex_is_on():
 
 
 def test_concave_polygon():
-    hook = Polygon2(np.array([
-        [0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0], [2.0, 1.0], [0.0, 1.0],
-    ]))
-    assert point_in_polygon(hook, Point2(1.0, 0.5)) is Containment.INSIDE
-    assert point_in_polygon(hook, Point2(1.0, 2.0)) is Containment.OUTSIDE
-    assert point_in_polygon(hook, Point2(2.5, 2.0)) is Containment.INSIDE
+    assert point_in_polygon(hook(), Point2(1.0, 0.5)) is Containment.INSIDE
+    assert point_in_polygon(hook(), Point2(1.0, 2.0)) is Containment.OUTSIDE
+    assert point_in_polygon(hook(), Point2(2.5, 2.0)) is Containment.INSIDE
+
+
+def edge_probes(verts, stride=1, tol=1e-9):
+    """Every ``stride``-th vertex and edge midpoint, as is and moved 0.5 and
+    2 tolerances to either side along the normal of the edge that starts or
+    sits there."""
+    nxt = np.roll(verts, -1, axis=0)
+    d = nxt - verts
+    normal = np.column_stack((-d[:, 1], d[:, 0])) / np.hypot(d[:, 0], d[:, 1])[:, None]
+    base = np.vstack((verts, (verts + nxt) / 2.0))[::stride]
+    normals = np.vstack((normal, normal))[::stride]
+    return np.vstack([base + k * tol * normals for k in (0.0, 0.5, -0.5, 2.0, -2.0)])
+
+
+def assert_matches_scalar(polygon, pts, name=""):
+    codes = classify_points(polygon, pts)
+    names = {1: Containment.INSIDE, 0: Containment.ON, -1: Containment.OUTSIDE}
+    bad = [
+        (x, y, names[int(code)])
+        for code, (x, y) in zip(codes, pts)
+        if names[int(code)] is not point_in_polygon(polygon, Point2(x, y))
+    ]
+    assert not bad, (name, bad[:5])
+
+
+def stance_polygon(posture):
+    return sample_boundary(posture.boundary(), 3600)
+
+
+def large_triangle():
+    # the point one ulp (7.5e-9) above the vertex at y = 59229718.51 is its
+    # own projection onto the edge that ends there, yet lies more than
+    # 2 * tol above that edge's y range
+    return Polygon2(np.array([[0.0, -20432194.02], [1.0, 59229718.51], [-1e8, 0.0]]))
+
+
+SHAPES = {
+    "square": (unit_square, 1),
+    "hook": (hook, 1),
+    "star-pentagon": (star_pentagon, 1),
+    "catalog-3600": (lambda: stance_polygon(posture_catalog()[2]), 24),
+    "random-3600": (lambda: stance_polygon(random_postures(1, seed=3)[0]), 24),
+    "large-triangle": (large_triangle, 1),
+}
 
 
 def test_classify_points_matches_scalar():
-    square = unit_square()
-    rng = np.random.default_rng(8)
-    pts = rng.uniform(-0.5, 1.5, (500, 2))
-    pts[:25, 0] = 1.0  # exactly on the right edge
-    codes = classify_points(square, pts)
-    for code, (x, y) in zip(codes, pts):
-        want = point_in_polygon(square, Point2(x, y))
-        got = {1: Containment.INSIDE, 0: Containment.ON, -1: Containment.OUTSIDE}[int(code)]
-        assert got is want
+    for name, (make_polygon, stride) in SHAPES.items():
+        polygon = make_polygon()
+        lo, hi = polygon.bounding_box()
+        pad = 0.25 * (hi.x - lo.x)
+        rng = np.random.default_rng(8)
+        pts = rng.uniform((lo.x - pad, lo.y - pad), (hi.x + pad, hi.y + pad), (500, 2))
+        pts[:25, 0] = hi.x  # exactly on the rightmost vertex's vertical line
+        x, y = polygon.vertices[1]
+        pts[25] = (x, np.nextafter(y, np.inf))  # one ulp above a vertex
+        probes = edge_probes(polygon.vertices, stride)
+        assert_matches_scalar(polygon, np.vstack((pts, probes)), name)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gaps=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=30),
+    radii=st.lists(st.floats(0.1, 2.0), min_size=30, max_size=30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_classify_points_matches_scalar_on_star_polygons(gaps, radii, seed):
+    # every angular gap is below pi, so the polygon is simple and star-shaped
+    # about the origin; sorted distinct angles repeat no vertex
+    angles = 2.0 * math.pi * np.cumsum(gaps) / sum(gaps)
+    r = np.array(radii[: len(angles)])
+    polygon = Polygon2(np.column_stack((r * np.cos(angles), r * np.sin(angles))))
+    pts = np.random.default_rng(seed).uniform(-2.2, 2.2, (60, 2))
+    assert_matches_scalar(polygon, np.vstack((pts, edge_probes(polygon.vertices))))
 
 
 # --- star shape ---------------------------------------------------------------
@@ -165,6 +233,15 @@ def test_agreement_consistent_with_classifiers():
     radial = classify_saddle_points(boundary, pts)
     even_odd = classify_points(poly, pts)
     assert np.mean(radial == even_odd) >= 0.998
+
+
+def test_counts_checked():
+    posture = parallel_posture()
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"n_points must be at least 1, got {n}"):
+            check_containment_agreement(posture.boundary(), n_points=n)
+        with pytest.raises(ValueError, match=f"n_motions must be at least 1, got {n}"):
+            check_equivariance(posture.left, posture.right, n_motions=n)
 
 
 def test_equivariance_catalog():

@@ -325,6 +325,12 @@ def test_random_postures_deterministic_and_valid():
     assert c[0].left != a[0].left
 
 
+def test_random_postures_count_checked():
+    assert random_postures(0) == []
+    with pytest.raises(ValueError, match="random posture count n must be at least 0, got -1"):
+        random_postures(-1)
+
+
 # --- polygon export ---------------------------------------------------------------
 
 
