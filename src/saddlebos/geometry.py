@@ -24,7 +24,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,9 @@ ORIGIN_RADIUS = 1e-12
 
 #: Default tolerance for classifying a point as exactly on the boundary.
 DEFAULT_CONTAINS_TOL = 1e-9
+
+#: Largest vertex count :func:`sample_boundary` accepts; callers use at most 3600.
+MAX_BOUNDARY_SAMPLES = 1_000_000
 
 
 class Side(enum.Enum):
@@ -260,11 +263,14 @@ def task_array_from_saddle(frame: SaddleFrame, pts: np.ndarray) -> np.ndarray:
 
 def saddle_array_from_task(frame: SaddleFrame, pts: np.ndarray) -> np.ndarray:
     """Vectorized task-to-Saddle transform for an (n, 2) array."""
-    pts = np.asarray(pts, dtype=float)
-    c = math.cos(frame.rotation)
-    s = math.sin(frame.rotation)
-    dx = pts[:, 0] - frame.origin.x
-    dy = pts[:, 1] - frame.origin.y
+    c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+    return _to_saddle(np.asarray(pts, dtype=float), frame.origin.x, frame.origin.y, c, s)
+
+
+def _to_saddle(pts: np.ndarray, ox, oy, c, s) -> np.ndarray:
+    # the frame's origin, cos and sin of its rotation: scalars or one per point
+    dx = pts[:, 0] - ox
+    dy = pts[:, 1] - oy
     out = np.empty_like(pts)
     out[:, 0] = c * dx + s * dy
     out[:, 1] = -s * dx + c * dy
@@ -356,18 +362,18 @@ def _check_feet_match_frame(frame: SaddleFrame, left: FootPose, right: FootPose)
 
 
 class _ContinuousShape(NamedTuple):
-    """Resolved continuous boundary: cap radii, corner points, and the polar
-    angles of the corners with positive x (alpha for the left cap, beta for
-    the right one)."""
+    """Resolved continuous boundary: cap radii, the corners' polar angles with
+    positive x (alpha left, beta right) and the corners (+-ax, h_left) and
+    (+-bx, -h_right).  Each field is a scalar or holds one value per direction."""
 
     r_left: float
     r_right: float
     alpha: float
     beta: float
-    a_plus: tuple[float, float]
-    a_minus: tuple[float, float]
-    b_plus: tuple[float, float]
-    b_minus: tuple[float, float]
+    ax: float
+    h_left: float
+    bx: float
+    h_right: float
 
 
 def _continuous_shape(params: BosParams) -> _ContinuousShape:
@@ -377,41 +383,40 @@ def _continuous_shape(params: BosParams) -> _ContinuousShape:
         raise DegenerateGeometryError(
             "cap half-extent reaches past the cap radius; boundary corners are not real"
         )
-    r_left = params.reach_left
-    r_right = -params.reach_right
     h_left = math.sqrt(params.reach_left**2 - ax**2)
     h_right = math.sqrt(params.reach_right**2 - bx**2)
     return _ContinuousShape(
-        r_left=r_left,
-        r_right=r_right,
+        r_left=params.reach_left,
+        r_right=-params.reach_right,
         alpha=math.atan2(h_left, ax),
         beta=math.atan2(h_right, bx),
-        a_plus=(ax, h_left),
-        a_minus=(-ax, h_left),
-        b_plus=(bx, -h_right),
-        b_minus=(-bx, -h_right),
+        ax=ax,
+        h_left=h_left,
+        bx=bx,
+        h_right=h_right,
     )
 
 
 def _continuous_radii(shape: _ContinuousShape, phis: np.ndarray) -> np.ndarray:
-    """Boundary radius along each direction. ``phis`` must lie in [-pi, pi]."""
+    """Boundary radius along each direction ``phis`` in [-pi, pi]: a cap
+    radius, or the ray's distance to the front or back edge between corners."""
     phis = np.asarray(phis, dtype=float)
+    alpha, beta, ax, h_left, bx, h_right = shape[2:]
     r = np.empty_like(phis)
-    left = (phis >= shape.alpha) & (phis <= math.pi - shape.alpha)
-    right = (phis >= shape.beta - math.pi) & (phis <= -shape.beta)
-    front = (phis > -shape.beta) & (phis < shape.alpha)
+    left = (phis >= alpha) & (phis <= math.pi - alpha)
+    right = (phis >= beta - math.pi) & (phis <= -beta)
+    front = (phis > -beta) & (phis < alpha)
     back = ~(left | right | front)
-    r[left] = shape.r_left
-    r[right] = shape.r_right
-    for mask, p, q in ((front, shape.b_plus, shape.a_plus), (back, shape.a_minus, shape.b_minus)):
+    for mask, value in ((left, shape.r_left), (right, shape.r_right)):
+        r[mask] = value[mask] if np.ndim(value) else value
+    for mask, ends in ((front, (bx, -h_right, ax, h_left)), (back, (-ax, h_left, -bx, -h_right))):
         if not mask.any():
             continue
-        vx = q[0] - p[0]
-        vy = q[1] - p[1]
+        p0, p1, q0, q1 = (v[mask] if np.ndim(v) else v for v in ends)
+        vx = q0 - p0
+        vy = q1 - p1
         with np.errstate(divide="ignore", invalid="ignore"):
-            r[mask] = (p[0] * vy - p[1] * vx) / (
-                np.cos(phis[mask]) * vy - np.sin(phis[mask]) * vx
-            )
+            r[mask] = (p0 * vy - p1 * vx) / (np.cos(phis[mask]) * vy - np.sin(phis[mask]) * vx)
     return r
 
 
@@ -455,8 +460,8 @@ def boundary_point(boundary: BosBoundary, phi: float) -> Point2:
 def sample_boundary(boundary: BosBoundary, n: int) -> Polygon2:
     """Sample the boundary at n evenly spaced direction angles 2*pi*k/n,
     counterclockwise, in Saddle coordinates."""
-    if n < 3:
-        raise ValueError("at least 3 samples are needed to form a polygon")
+    if not 3 <= n <= MAX_BOUNDARY_SAMPLES:
+        raise ValueError(f"boundary sample count must lie in [3, {MAX_BOUNDARY_SAMPLES}], got {n}")
     phis = TWO_PI * np.arange(n) / n
     if boundary.mode is BoundaryMode.STRICT:
         verts = np.array([tuple(_strict_point(boundary.params, p)) for p in phis])
@@ -479,16 +484,46 @@ def contains(
 def classify_saddle_points(
     boundary: BosBoundary, pts: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL
 ) -> np.ndarray:
-    """Vectorized containment codes for (n, 2) Saddle-space points:
-    +1 inside, 0 on the boundary (within ``tol``), -1 outside."""
+    """Vectorized containment codes for (n, 2) Saddle-space points: +1
+    inside, 0 on the boundary (within ``tol``), -1 outside.  It shares its
+    per-sample kernel with :func:`classify_task_segments`."""
+    return _classify(_continuous(boundary), np.asarray(pts, dtype=float), tol)
+
+
+def classify_task_segments(
+    stances: Iterable[tuple[SaddleFrame, BosBoundary]],
+    step: int,
+    task_pts: np.ndarray,
+    tol: float = DEFAULT_CONTAINS_TOL,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Saddle-space points and containment codes for (n, 2) task-space samples
+    in consecutive segments of ``step`` samples, each in its own stance: one
+    ``(frame, boundary)`` pair from ``stances``, reduced to twelve floats as it
+    arrives.  Bit for bit :func:`saddle_array_from_task` then
+    :func:`classify_saddle_points` per segment, from one call of each kernel."""
+    task_pts = np.asarray(task_pts, dtype=float)
+    if step < 1:
+        raise ValueError(f"segment step must be at least 1, got {step}")
+    table = np.empty((-(-len(task_pts) // step), 12))
+    for row, (frame, boundary) in zip(table, stances, strict=True):
+        c, s = math.cos(frame.rotation), math.sin(frame.rotation)
+        row[:] = (frame.origin.x, frame.origin.y, c, s, *_continuous(boundary))
+    # one stance passes its scalars through: no per-sample shape arrays
+    cols = table[0].tolist() if len(table) == 1 else table[np.arange(len(task_pts)) // step].T
+    saddle_pts = _to_saddle(task_pts, *cols[:4])
+    return saddle_pts, _classify(_ContinuousShape(*cols[4:]), saddle_pts, tol)
+
+
+def _continuous(boundary: BosBoundary) -> _ContinuousShape:
     if boundary.mode is not BoundaryMode.CONTINUOUS:
-        raise StrictModeUnsupportedError(
-            "containment needs the closed continuous boundary"
-        )
-    pts = np.asarray(pts, dtype=float)
+        raise StrictModeUnsupportedError("containment needs the closed continuous boundary")
+    return boundary._shape
+
+
+def _classify(shape: _ContinuousShape, pts: np.ndarray, tol: float) -> np.ndarray:
     r_p = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
-    r_b = _continuous_radii(boundary._shape, phi)
+    r_b = _continuous_radii(shape, phi)
     codes = np.where(r_p < r_b, 1, -1).astype(np.int8)
     codes[np.abs(r_p - r_b) <= tol] = 0
     codes[r_p <= ORIGIN_RADIUS] = 1

@@ -7,17 +7,24 @@ import pytest
 from saddlebos.cli import main
 from saddlebos import (
     BosBoundary,
+    classify_saddle_points,
     com_trajectory,
     compute_report,
     derive_bos_params,
+    export_polygon,
+    export_report,
     foot_poses,
     parse_trial_csv,
+    polygon_to_task_space,
     posture_catalog,
     read_polygon,
     read_report,
     saddle_frame_from_ecops,
+    sample_boundary,
+    score_saddle_samples,
 )
-from saddlebos.trial_io import report_to_dict
+from saddlebos.geometry import MAX_BOUNDARY_SAMPLES, saddle_array_from_task
+from saddlebos.trial_io import report_to_dict, round12
 
 from helpers import TRIAL_CSV, complete_row, move_markers, parallel_marker_frame, trial_csv_text
 
@@ -95,6 +102,14 @@ def test_bos_posture_file(tmp_path, capsys):
     assert main(["bos", "--posture-file", str(posture), "--out", str(out)]) == 0
     assert json.loads(capsys.readouterr().out)["posture"] == "file-stance"
     assert len(read_polygon(out)) == 360
+
+
+def test_bos_rejects_samples_above_the_bound(tmp_path, capsys):
+    out = tmp_path / "bos.csv"
+    code = main(BOS_ARGS + ["--samples", str(MAX_BOUNDARY_SAMPLES + 1), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, f"got {MAX_BOUNDARY_SAMPLES + 1}")
+    assert captured.out == "" and not out.exists()
 
 
 def test_bos_strict_mode(tmp_path, capsys):
@@ -269,6 +284,77 @@ def test_analyze_refit_scores_each_block_against_its_own_stance(tmp_path, capsys
     assert json.loads(static)["poi"] == 50.0
 
 
+def drifting_feet_trial(tmp_path, n=30):
+    """Feet that turn and slide a little every frame, with a CoM that sways
+    out of the boundary now and then."""
+    rows = []
+    for k in range(n):
+        sway = (0.15 * math.sin(0.7 * k), 0.12 * math.cos(0.4 * k))
+        separation = 0.30 + 0.01 * math.sin(k)
+        frame = parallel_marker_frame(round(k * 0.01, 2), com=sway, separation=separation)
+        frame = move_markers(frame, 0.03 * k, (0.004 * k, -0.002 * k))
+        rows.append({"time": frame.time, **frame.positions})
+    return write_trial(tmp_path, rows, "drifting.csv")
+
+
+def library_outputs(tmp_path, trial, every):
+    """The analyze files for ``--refit-feet-every every``, assembled from
+    per-segment public library calls."""
+    complete = parse_trial_csv(trial)
+    traj = com_trajectory(complete)
+    saddle, codes, stances = [], [], []
+    for start in range(0, len(complete), every):
+        left, right = foot_poses(complete[start])
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+        saddle.append(saddle_array_from_task(frame, traj.points[start:start + every]))
+        codes.append(classify_saddle_points(boundary, saddle[-1]))
+        stances.append((frame, boundary))
+    saddle = np.concatenate(saddle)
+    paths = [tmp_path / f"library-{every}-{kind}" for kind in ("report.json", "bos.csv", "com.csv")]
+    export_report(score_saddle_samples(traj, saddle, np.concatenate(codes)), paths[0])
+    frame, boundary = stances[0]
+    export_polygon(polygon_to_task_space(frame, sample_boundary(boundary, 360)), paths[1])
+    lines = ["x,y"] + [f"{round12(x):.12g},{round12(y):.12g}" for x, y in saddle]
+    paths[2].write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return [path.read_bytes() for path in paths]
+
+
+@pytest.mark.parametrize("every", [1, 7, 100])
+def test_analyze_refit_matches_per_segment_library_calls(tmp_path, capsys, every):
+    trial = drifting_feet_trial(tmp_path)
+    got = analyze_outputs(tmp_path, trial, f"cli-{every}", "--refit-feet-every", str(every))
+    assert got == library_outputs(tmp_path, trial, every)
+    assert 0.0 < json.loads(got[0])["poi"] < 100.0
+
+
+@pytest.mark.parametrize("samples", ["2", str(MAX_BOUNDARY_SAMPLES + 1)])
+def test_analyze_rejects_polygon_samples_before_writing(tmp_path, capsys, samples):
+    polygon = tmp_path / "bos.csv"
+    code = main([
+        "analyze", "--markers", str(centered_trial(tmp_path)), "--samples", samples,
+        "--polygon-out", str(polygon),
+    ])
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, f"got {samples}")
+    assert captured.out == "" and not polygon.exists()
+
+
+def test_analyze_stance_error_mid_trial_writes_nothing(tmp_path, capsys):
+    rows = wobble_rows(20)
+    rows[10]["LMT5"] = rows[10]["LMT1"]  # the left foot has no width on frame 10
+    trial = write_trial(tmp_path, rows)
+    paths = [tmp_path / name for name in ("report.json", "bos.csv", "com.csv")]
+    code = main([
+        "analyze", "--markers", str(trial), "--refit-feet-every", "1", "--out", str(paths[0]),
+        "--polygon-out", str(paths[1]), "--saddle-com-out", str(paths[2]),
+    ])
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, "DegenerateFootError")
+    assert captured.out == ""
+    assert not any(path.exists() for path in paths)
+
+
 def test_analyze_uses_first_complete_frame_for_feet(tmp_path, capsys):
     rows = wobble_rows(20)
     rows[0]["LHEE"] = None  # force the stance to come from the second frame
@@ -339,6 +425,7 @@ def test_validate_passes_and_is_deterministic(capsys):
     (["--motions", "0"], "n_motions must be at least 1, got 0"),
     (["--motions", "-1"], "n_motions must be at least 1, got -1"),
     (["--random-postures", "-1"], "random posture count n must be at least 0, got -1"),
+    (["--rays", str(MAX_BOUNDARY_SAMPLES + 1)], f"got {MAX_BOUNDARY_SAMPLES + 1}"),
 ])
 def test_validate_rejects_out_of_range_counts(capsys, flags, message):
     code = main(VALIDATE_FAST + flags)

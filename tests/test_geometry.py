@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from saddlebos import (
     BosBoundary,
@@ -25,7 +26,16 @@ from saddlebos import (
     to_task_space,
     transform_posture,
 )
-from saddlebos.geometry import BoundaryMode, saddle_array_from_task, task_array_from_saddle
+from saddlebos.geometry import (
+    DEFAULT_CONTAINS_TOL,
+    MAX_BOUNDARY_SAMPLES,
+    BoundaryMode,
+    classify_saddle_points,
+    classify_task_segments,
+    saddle_array_from_task,
+    task_array_from_saddle,
+)
+from saddlebos.trial_io import random_postures
 
 from helpers import parallel_posture, rotate_xy
 
@@ -282,6 +292,12 @@ def test_sample_boundary_rejects_tiny_n():
         sample_boundary(parallel_posture().boundary(), 2)
 
 
+def test_sample_boundary_rejects_counts_above_the_bound():
+    # the check runs before anything is allocated; a count this large is never sampled
+    with pytest.raises(ValueError, match=f"got {MAX_BOUNDARY_SAMPLES + 1}$"):
+        sample_boundary(parallel_posture().boundary(), MAX_BOUNDARY_SAMPLES + 1)
+
+
 def test_sample_boundary_counterclockwise():
     poly = sample_boundary(parallel_posture().boundary(), 64)
     v = poly.vertices
@@ -323,6 +339,71 @@ def test_contains_strict_mode_refused():
     strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
     with pytest.raises(StrictModeUnsupportedError):
         contains(strict, Point2(0, 0))
+
+
+# --- per-segment classification ---------------------------------------------
+
+
+def moved_stances(seed, count):
+    """``count`` random non-degenerate stances, each moved rigidly in task space."""
+    rng = np.random.default_rng(seed)
+    stances = []
+    for posture in random_postures(count, seed=seed):
+        shift = Point2(*rng.uniform(-2.0, 2.0, 2))
+        left, right = transform_posture(posture.left, posture.right, rng.uniform(-4, 4), shift)
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        stances.append((frame, BosBoundary(derive_bos_params(frame, left, right), frame)))
+    return stances
+
+
+def stance_task_points(frame, boundary, count, rng):
+    """Task-space points for one stance: half scattered around it, half on
+    its boundary vertices pushed +-0.5 and +-2 tol along their radius."""
+    verts = sample_boundary(boundary, 48).vertices[rng.integers(0, 48, count)]
+    push = rng.choice([-2.0, -0.5, 0.5, 2.0], (count, 1)) * DEFAULT_CONTAINS_TOL
+    near_edge = verts * (1.0 + push / np.hypot(verts[:, :1], verts[:, 1:]))
+    scattered = rng.uniform(-0.4, 0.4, (count, 2))
+    saddle = np.where(rng.random((count, 1)) < 0.5, near_edge, scattered)
+    return task_array_from_saddle(frame, saddle)
+
+
+@pytest.mark.parametrize("step_of", [lambda n: 1, lambda n: 3, lambda n: n, lambda n: n + 5],
+                         ids=["1", "3", "n", "n+5"])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40))
+@example(seed=0, n=10)  # step 3 leaves a last segment of one sample
+def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
+    step = step_of(n)
+    stances = moved_stances(seed, -(-n // step))
+    rng = np.random.default_rng(seed)
+    pts, want_saddle, want_codes = [], [], []
+    for k, (frame, boundary) in enumerate(stances):
+        seg = stance_task_points(frame, boundary, min(step, n - k * step), rng)
+        pts.append(seg)
+        want_saddle.append(saddle_array_from_task(frame, seg))
+        want_codes.append(classify_saddle_points(boundary, want_saddle[-1]))
+    saddle, codes = classify_task_segments(iter(stances), step, np.concatenate(pts))
+    assert saddle.tobytes() == np.concatenate(want_saddle).tobytes()
+    assert np.array_equal(codes, np.concatenate(want_codes))
+    assert codes.dtype == np.int8
+
+
+def test_classify_task_segments_needs_one_stance_per_segment():
+    stances = moved_stances(1, 3)
+    pts = np.zeros((7, 2))
+    classify_task_segments(stances, 3, pts)
+    for wrong in (stances[:2], stances + stances[:1]):
+        with pytest.raises(ValueError):
+            classify_task_segments(iter(wrong), 3, pts)
+    with pytest.raises(ValueError, match="step must be at least 1, got 0"):
+        classify_task_segments(stances, 0, pts)
+
+
+def test_classify_task_segments_refuses_strict_mode():
+    posture = parallel_posture()
+    strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
+    with pytest.raises(StrictModeUnsupportedError):
+        classify_task_segments([(posture.frame(), strict)], 5, np.zeros((5, 2)))
 
 
 def test_anchors_inside_for_catalog():
