@@ -50,6 +50,7 @@ from .markers import (
     com_trajectory,
     foot_geometry,
     foot_poses,
+    foot_poses_at,
 )
 from .metrics import (
     ComTrajectory,

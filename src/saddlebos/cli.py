@@ -184,16 +184,6 @@ def _load_trial(args):
     return complete, n_incomplete
 
 
-def _stance_from_frame(frame_markers, args, config: RunConfig):
-    anchor = "mt-mid" if getattr(args, "d_from_mt_mid", False) else "ecop"
-    return mk.foot_poses(
-        frame_markers,
-        ecop_fraction=config.ecop_fraction,
-        up_axis=config.up_axis,
-        anchor=anchor,
-    )
-
-
 def cmd_analyze(args, config: RunConfig) -> int:
     if args.refit_feet_every < 0:
         raise ValueError(f"--refit-feet-every must be at least 0, got {args.refit_feet_every}")
@@ -205,10 +195,11 @@ def cmd_analyze(args, config: RunConfig) -> int:
     # contiguous segments, each scored against its own stance; static feet and
     # a fixed posture are one segment of every complete frame
     step = args.refit_feet_every or len(complete)
+    anchor = "mt-mid" if args.d_from_mt_mid else "ecop"
 
     def stance(start):
         if posture is None:
-            left, right = _stance_from_frame(complete[start], args, config)
+            left, right = mk.foot_poses_at(complete, start, config.ecop_fraction, config.up_axis, anchor)
         else:
             left, right = posture.left, posture.right
         frame = saddle_frame_from_ecops(right.ecop, left.ecop)
@@ -243,12 +234,12 @@ def cmd_analyze(args, config: RunConfig) -> int:
 def cmd_sweep(args, config: RunConfig) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    trial = None
+    traj = None
     if args.markers:
         complete, _ = _load_trial(args)
-        left, right = _stance_from_frame(complete[0], args, config)
+        left, right = mk.foot_poses_at(complete, 0, config.ecop_fraction, config.up_axis)
         trial_frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        trial = (mk.com_trajectory(complete, config.up_axis), trial_frame)
+        traj = mk.com_trajectory(complete, config.up_axis)
 
     summary = {"postures": []}
     for posture in tio.posture_catalog():
@@ -256,22 +247,21 @@ def cmd_sweep(args, config: RunConfig) -> int:
         params = posture.params()
         boundary = BosBoundary(params, frame)
         polygon_file = out_dir / f"bos_{posture.name}.csv"
-        tio.export_polygon(
-            polygon_to_task_space(frame, sample_boundary(boundary, config.samples)), polygon_file
-        )
         entry = {
             "name": posture.name,
             "frame": _frame_dict(frame),
             "shape": _params_dict(params),
             "polygon_file": polygon_file.name,
         }
-        if trial is not None:
-            traj, trial_frame = trial
-            entry["metrics"] = tio.report_to_dict(
-                mt.compute_report(
-                    traj, boundary, trial_frame, config.bins, config.k_sigma, config.contains_tol
-                )
+        # scored before the polygon is written, so a rejected setting writes nothing
+        if traj is not None:
+            report = mt.compute_report(
+                traj, boundary, trial_frame, config.bins, config.k_sigma, config.contains_tol
             )
+            entry["metrics"] = tio.report_to_dict(report)
+        tio.export_polygon(
+            polygon_to_task_space(frame, sample_boundary(boundary, config.samples)), polygon_file
+        )
         summary["postures"].append(entry)
 
     _emit_json(summary, out_dir / "summary.json")
@@ -408,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--samples", type=int, default=None)
     sweep.add_argument("--bins", type=int, default=None)
     sweep.add_argument("--k-sigma", dest="k_sigma", type=float, default=None)
-    sweep.set_defaults(func=cmd_sweep, d_from_mt_mid=False, refit_feet_every=0)
+    sweep.set_defaults(func=cmd_sweep)
 
     validate = sub.add_parser("validate", help="run the geometric self-checks")
     validate.add_argument("--seed", type=int, default=0)

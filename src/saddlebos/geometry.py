@@ -207,9 +207,6 @@ class Polygon2:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def point(self, i: int) -> Point2:
-        return Point2(*self.vertices[i])
-
     def bounding_box(self) -> tuple[Point2, Point2]:
         lo = self.vertices.min(axis=0)
         hi = self.vertices.max(axis=0)

@@ -8,8 +8,9 @@ configurable fraction of the way from the heel to the metatarsal midpoint,
 and its orientation relative to the line connecting the two anchors.
 
 A trial is held column-wise in a :class:`MarkerTrial` (times plus an
-``(n, 10, 3)`` coordinate array, NaN where a marker is absent); a
-:class:`MarkerFrame` is one row of it, keyed by label.
+``(n, 10, 3)`` coordinate array, NaN where a marker is absent); stances are
+read from its rows by :func:`foot_poses_at`.  A :class:`MarkerFrame` is only
+the public view of one row, keyed by label.
 
 Capture systems disagree on which axis points up, so every operation takes
 an ``up_axis`` argument.  Projection to the ground plane drops that axis and
@@ -86,8 +87,10 @@ class MarkerTrial:
 
     ``times`` is (n,) and ``xyz`` is (n, 10, 3) in :data:`MARKER_LABELS`
     order, both C-contiguous float64, with NaN coordinates for an absent
-    marker.  ``complete`` is the (n,) mask of rows holding all ten markers.
-    Indexing and iteration give :class:`MarkerFrame` rows.
+    marker; a non-finite time, an infinite coordinate or a marker NaN in only
+    some coordinates raises ValueError.  ``complete`` is the (n,) mask of rows
+    holding all ten markers.  Indexing and iteration give :class:`MarkerFrame`
+    rows.
     """
 
     times: np.ndarray
@@ -102,14 +105,22 @@ class MarkerTrial:
                 f"a trial needs times (n,) and xyz (n, {len(MARKER_LABELS)}, 3), "
                 f"got {times.shape} and {xyz.shape}"
             )
+        if not np.isfinite(times).all():
+            raise ValueError("trial times must be finite")
+        if np.isinf(xyz).any():
+            raise ValueError("marker coordinates must be finite, or NaN for an absent marker")
+        absent = np.isnan(xyz)
+        x_absent = absent[:, :, 0]
+        if ((absent[:, :, 1] != x_absent) | (absent[:, :, 2] != x_absent)).any():
+            raise ValueError("a marker must be NaN in all three coordinates or in none")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "xyz", xyz)
-        object.__setattr__(self, "complete", ~np.isnan(xyz).any(axis=(1, 2)))
+        object.__setattr__(self, "complete", ~x_absent.any(axis=1))
 
     @classmethod
     def from_frames(cls, frames: Iterable[MarkerFrame]) -> MarkerTrial:
         frames = list(frames)
-        rows = [[f.positions.get(label, _ABSENT) for label in MARKER_LABELS] for f in frames]
+        rows = [_row(f) for f in frames]
         xyz = np.array(rows, dtype=np.float64).reshape(len(frames), len(MARKER_LABELS), 3)
         return cls(np.array([f.time for f in frames], dtype=np.float64), xyz)
 
@@ -141,11 +152,7 @@ class MarkerTrial:
 
 @dataclass(frozen=True)
 class FootGeometry:
-    """Ground-plane geometry of one foot.
-
-    ``orientation`` is None until the foot is paired with the other one,
-    because it is measured against the line connecting the two anchors.
-    """
+    """Ground-plane geometry of one foot."""
 
     heel: Point2
     mt_mid: Point2
@@ -153,7 +160,11 @@ class FootGeometry:
     width: float
     ecop: Point2
     side: Side
-    orientation: float | None = None
+
+
+def _row(frame: MarkerFrame) -> list:
+    """The frame as a :class:`MarkerTrial` row, NaN for an absent marker."""
+    return [frame.positions.get(label, _ABSENT) for label in MARKER_LABELS]
 
 
 def _ground_axes(up_axis: str) -> tuple[int, int]:
@@ -169,10 +180,11 @@ def ground_projection(xyz: tuple[float, float, float], up_axis: str = "z") -> Po
     return Point2(xyz[i], xyz[j])
 
 
-def _marker(frame: MarkerFrame, label: str, up_axis: str) -> Point2:
-    if label not in frame.positions:
+def _marker(row: list, label: str, up_axis: str) -> Point2:
+    xyz = row[MARKER_LABELS.index(label)]
+    if math.isnan(xyz[0]):
         raise MissingMarkerError(label)
-    return ground_projection(frame.positions[label], up_axis)
+    return ground_projection(xyz, up_axis)
 
 
 def com_from_pelvis(frame: MarkerFrame, up_axis: str = "z") -> Point2:
@@ -192,12 +204,13 @@ def foot_geometry(
     midpoint distance, both in the ground plane.  The anchor (eCoP) sits at
     ``ecop_fraction`` of the way from the heel to the metatarsal midpoint.
     """
+    return _foot_geometry(_row(frame), side, ecop_fraction, up_axis)
+
+
+def _foot_geometry(row: list, side: Side, ecop_fraction: float, up_axis: str) -> FootGeometry:
     if not 0.0 < ecop_fraction < 1.0:
         raise ValueError("ecop_fraction must lie strictly between 0 and 1")
-    heel_label, mt1_label, mt5_label = FOOT_LABELS[side]
-    heel = _marker(frame, heel_label, up_axis)
-    mt1 = _marker(frame, mt1_label, up_axis)
-    mt5 = _marker(frame, mt5_label, up_axis)
+    heel, mt1, mt5 = (_marker(row, label, up_axis) for label in FOOT_LABELS[side])
 
     width = math.hypot(mt1.x - mt5.x, mt1.y - mt5.y)
     mt_mid = Point2((mt1.x + mt5.x) / 2.0, (mt1.y + mt5.y) / 2.0)
@@ -227,10 +240,23 @@ def foot_poses(
     Each foot's orientation is the clockwise angle from the right-to-left
     anchor line to its heel-to-toe axis.
     """
+    return _foot_poses(_row(frame), ecop_fraction, up_axis, anchor)
+
+
+def foot_poses_at(
+    trial: MarkerTrial, i: int, ecop_fraction: float = 0.5, up_axis: str = "z", anchor: str = "ecop"
+) -> tuple[FootPose, FootPose]:
+    """``foot_poses(trial[i], ...)``, read from the trial's arrays without a MarkerFrame."""
+    return _foot_poses(trial.xyz[i].tolist(), ecop_fraction, up_axis, anchor)
+
+
+def _foot_poses(
+    row: list, ecop_fraction: float, up_axis: str, anchor: str
+) -> tuple[FootPose, FootPose]:
     if anchor not in ("ecop", "mt-mid"):
         raise ValueError(f"anchor must be 'ecop' or 'mt-mid', got {anchor!r}")
-    left_geo = foot_geometry(frame, Side.LEFT, ecop_fraction, up_axis)
-    right_geo = foot_geometry(frame, Side.RIGHT, ecop_fraction, up_axis)
+    left_geo = _foot_geometry(row, Side.LEFT, ecop_fraction, up_axis)
+    right_geo = _foot_geometry(row, Side.RIGHT, ecop_fraction, up_axis)
 
     def anchor_point(geo: FootGeometry) -> Point2:
         return geo.mt_mid if anchor == "mt-mid" else geo.ecop

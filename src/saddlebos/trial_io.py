@@ -50,7 +50,7 @@ from .geometry import (
     derive_bos_params,
     saddle_frame_from_ecops,
 )
-from .markers import MARKER_LABELS, MarkerFrame, MarkerTrial
+from .markers import MARKER_LABELS, MarkerTrial
 from .metrics import CovarianceEllipse, MetricsReport
 
 EXPECTED_COLUMNS = ("time",) + tuple(
@@ -76,7 +76,7 @@ def parse_trial_csv(path) -> MarkerTrial:
     """
     with open(path, "rb") as fh:
         trial = _read_columns(fh.read())
-    return trial if trial is not None else MarkerTrial.from_frames(_read_rows(path))
+    return trial if trial is not None else _read_rows(path)
 
 
 def _read_columns(data: bytes) -> MarkerTrial | None:
@@ -105,19 +105,14 @@ def _read_columns(data: bytes) -> MarkerTrial | None:
         return None
     if table.shape[1] != len(EXPECTED_COLUMNS):
         return None
-    times = table[:, 0]
-    xyz = table[:, 1:].reshape(len(table), len(MARKER_LABELS), 3)
-    absent = np.isnan(xyz)
-    if (
-        (absent.any(axis=2) != absent.all(axis=2)).any()
-        or np.isinf(table).any()
-        or (np.diff(times) <= 0.0).any()
-    ):
+    try:
+        trial = MarkerTrial(table[:, 0], table[:, 1:].reshape(len(table), len(MARKER_LABELS), 3))
+    except ValueError:
         return None
-    return MarkerTrial(times, xyz)
+    return None if (np.diff(trial.times) <= 0.0).any() else trial
 
 
-def _read_rows(path) -> list[MarkerFrame]:
+def _read_rows(path) -> MarkerTrial:
     """Row-by-row reader: the reference for the schema and its errors."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -130,41 +125,32 @@ def _read_rows(path) -> list[MarkerFrame]:
             missing = [col for col in EXPECTED_COLUMNS if col not in header]
             raise BadHeaderError(missing)
 
-        frames: list[MarkerFrame] = []
-        last_time = None
+        times, rows = [], []  # one time and 30 coordinates per row
         for row_num, row in enumerate(reader, start=1):
             if not row:
                 continue
             if len(row) != len(EXPECTED_COLUMNS):
                 raise BadRowError(row_num, "row", f"expected {len(EXPECTED_COLUMNS)} fields, got {len(row)}")
-            time = _parse_cell(row[0], row_num, "time")
-            if time is None:
+            if row[0].strip() == "":
                 raise BadRowError(row_num, "time", "blank")
-            if last_time is not None and time <= last_time:
+            time = _require_cell(row[0], row_num, "time")
+            if times and time <= times[-1]:
                 raise NonMonotonicTimeError(row_num)
-            last_time = time
 
-            positions = {}
+            coords = []
             for k, label in enumerate(MARKER_LABELS):
                 cells = row[1 + 3 * k : 4 + 3 * k]
                 blanks = [c.strip() == "" for c in cells]
                 if all(blanks):
+                    coords += [math.nan] * 3
                     continue
                 if any(blanks):
                     raise BadRowError(row_num, label, "marker has a partially blank coordinate triple")
-                coords = tuple(
-                    _require_cell(cells[a], row_num, f"{label}_{'xyz'[a]}") for a in range(3)
-                )
-                positions[label] = coords
-            frames.append(MarkerFrame(time=time, positions=positions))
-    return frames
-
-
-def _parse_cell(cell: str, row_num: int, field: str) -> float | None:
-    cell = cell.strip()
-    if cell == "":
-        return None
-    return _require_cell(cell, row_num, field)
+                coords += [_require_cell(cells[a], row_num, f"{label}_{'xyz'[a]}") for a in range(3)]
+            times.append(time)
+            rows.append(coords)
+    xyz = np.array(rows, dtype=np.float64).reshape(len(rows), len(MARKER_LABELS), 3)
+    return MarkerTrial(np.array(times, dtype=np.float64), xyz)
 
 
 def _require_cell(cell: str, row_num: int, field: str) -> float:

@@ -24,6 +24,8 @@ from saddlebos import (
     score_saddle_samples,
 )
 from saddlebos.geometry import MAX_BOUNDARY_SAMPLES, saddle_array_from_task
+from saddlebos import trial_io
+from saddlebos.markers import MarkerFrame
 from saddlebos.trial_io import report_to_dict, round12
 
 from helpers import TRIAL_CSV, complete_row, move_markers, parallel_marker_frame, trial_csv_text
@@ -387,6 +389,46 @@ def test_sweep_with_markers(tmp_path, capsys):
     assert all("metrics" in p for p in summary["postures"])
     parallel = summary["postures"][0]
     assert parallel["metrics"]["poi"] == 100.0
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--bins", "3"], None, "n_bins must be at least 8"),
+    (["--k-sigma", "-1"], None, "k_sigma must be finite and positive"),
+    ([], {"bins": 3}, "n_bins must be at least 8"),
+])
+def test_sweep_rejected_setting_writes_nothing(tmp_path, capsys, monkeypatch, flags, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        monkeypatch.setenv("SADDLE_BOS_CONFIG", str(path))
+    out = tmp_path / "results"
+    code = main(["sweep", "--out", str(out), "--markers", str(TRIAL_CSV), *flags])
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, message)
+    assert captured.out == ""
+    assert not list(out.glob("bos_*.csv")) and not (out / "summary.json").exists()
+
+
+def test_stances_are_read_without_marker_frames(tmp_path, capsys, monkeypatch):
+    row_trial = tmp_path / "blank-line.csv"  # a blank line sends it to the row reader
+    row_trial.write_text(TRIAL_CSV.read_text(encoding="utf-8") + "\n", encoding="utf-8")
+    read_by_rows = []
+    real_read_rows = trial_io._read_rows
+    monkeypatch.setattr(
+        trial_io, "_read_rows", lambda path: read_by_rows.append(path) or real_read_rows(path)
+    )
+
+    def no_frames(self):
+        raise AssertionError("a MarkerFrame was built")
+
+    monkeypatch.setattr(MarkerFrame, "__post_init__", no_frames)
+    for argv in (
+        ["analyze", "--markers", str(TRIAL_CSV), "--refit-feet-every", "1"],
+        ["sweep", "--out", str(tmp_path / "results"), "--markers", str(TRIAL_CSV)],
+        ["analyze", "--markers", str(row_trial), "--refit-feet-every", "7"],
+    ):
+        assert main(argv) == 0, capsys.readouterr().err
+    assert read_by_rows == [str(row_trial)]
 
 
 def test_sweep_deterministic(tmp_path, capsys):

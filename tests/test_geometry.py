@@ -479,3 +479,17 @@ def test_polygon_validation():
     poly = Polygon2(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         poly.vertices[0, 0] = 5.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    origin=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+    rotation=st.floats(-math.pi, math.pi),
+    separation=st.floats(0.0, 1.0),
+    p=st.tuples(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0)),
+)
+def test_task_point_survives_the_saddle_round_trip(origin, rotation, separation, p):
+    # frame origin and point within 10 m: the round trip is exact to 1e-12 m
+    frame = SaddleFrame(Point2(*origin), rotation, separation)
+    q = to_task_space(frame, to_saddle_space(frame, Point2(*p)))
+    assert math.hypot(q.x - p[0], q.y - p[1]) <= 1e-12

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlebos import (
     CoincidentFeetError,
@@ -13,11 +14,18 @@ from saddlebos import (
     com_trajectory,
     foot_geometry,
     foot_poses,
+    foot_poses_at,
     parse_trial_csv,
 )
-from saddlebos.markers import MARKER_LABELS, PELVIS_LABELS, MarkerTrial, ground_projection
+from saddlebos.markers import (
+    FOOT_LABELS,
+    MARKER_LABELS,
+    PELVIS_LABELS,
+    MarkerTrial,
+    ground_projection,
+)
 
-from helpers import TRIAL_CSV, move_markers, parallel_marker_frame
+from helpers import TRIAL_CSV, move_markers, parallel_marker_frame, rotate_xy
 
 
 def test_com_symmetric_markers():
@@ -296,3 +304,108 @@ def test_marker_trial_rejects_bad_shapes():
     with pytest.raises(ValueError):
         MarkerTrial(np.zeros(3), np.zeros((2, len(MARKER_LABELS), 3)))
     assert len(MarkerTrial.from_frames([])) == 0
+
+
+def test_marker_trial_rejects_non_finite_times_inf_and_partial_markers():
+    base = MarkerTrial.from_frames([parallel_marker_frame(time=t / 100) for t in range(3)])
+    for value in (math.nan, math.inf, -math.inf):
+        times = base.times.copy()
+        times[1] = value
+        with pytest.raises(ValueError, match="^trial times must be finite$"):
+            MarkerTrial(times, base.xyz)
+    for value in (math.inf, -math.inf):
+        xyz = base.xyz.copy()
+        xyz[2, 4, 1] = value
+        with pytest.raises(ValueError, match="^marker coordinates must be finite, or NaN"):
+            MarkerTrial(base.times, xyz)
+    for axes in ([0], [2], [1, 2]):
+        xyz = base.xyz.copy()
+        xyz[0, 7, axes] = math.nan
+        with pytest.raises(ValueError, match="^a marker must be NaN in all three coordinates"):
+            MarkerTrial(base.times, xyz)
+    xyz = base.xyz.copy()
+    xyz[0, 7] = math.nan
+    assert MarkerTrial(base.times, xyz).complete.tolist() == [False, True, True]
+
+
+def stance_outcome(call):
+    """The stance pair with every float as hex, or the error type and message."""
+    try:
+        poses = call()
+    except Exception as exc:  # any error: the two calls must raise the same one
+        return type(exc), str(exc)
+    return [
+        (p.side, p.ecop.x.hex(), p.ecop.y.hex(), p.orientation.hex(), p.length.hex(), p.width.hex())
+        for p in poses
+    ]
+
+
+STANCE_FAULTS = (None, "narrow-left", "short-right", "coincident", "missing")
+
+
+@pytest.mark.parametrize("fault", STANCE_FAULTS)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_foot_poses_at_equals_foot_poses_of_the_row_bit_for_bit(fault, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    xyz = rng.uniform(-2.0, 2.0, (3, len(MARKER_LABELS), 3))
+    at = {label: k for k, label in enumerate(MARKER_LABELS)}
+    row = xyz[1]  # the faulty row; rows 0 and 2 stay random
+    if fault == "narrow-left":
+        row[at["LMT5"]] = row[at["LMT1"]]
+    elif fault == "short-right":
+        row[at["RHEE"]] = (row[at["RMT1"]] + row[at["RMT5"]]) / 2.0
+    elif fault == "coincident":
+        for left, right in zip(FOOT_LABELS[Side.LEFT], FOOT_LABELS[Side.RIGHT]):
+            row[at[right]] = row[at[left]]
+    elif fault == "missing":
+        row[at[data.draw(st.sampled_from(FOOT_LABELS[Side.LEFT] + FOOT_LABELS[Side.RIGHT]))]] = math.nan
+    trial = MarkerTrial(np.array([0.0, 0.01, 0.02]), xyz)
+    i = data.draw(st.integers(-3, 2))
+    kwargs = dict(
+        ecop_fraction=data.draw(st.sampled_from([0.0, 1.0, -0.25, 1.5]) | st.floats(0.0, 1.0)),
+        up_axis=data.draw(st.sampled_from("xyz")),
+        anchor=data.draw(st.sampled_from(["ecop", "mt-mid"])),
+    )
+    got = stance_outcome(lambda: foot_poses_at(trial, i, **kwargs))
+    assert got == stance_outcome(lambda: foot_poses(trial[i], **kwargs))
+    if fault and i % 3 == 1 and 0.0 < kwargs["ecop_fraction"] < 1.0:
+        assert isinstance(got, tuple), "the fault should have raised"
+
+
+def stance_from_helpers(rng, time):
+    """A random non-degenerate stance: canonical parallel feet, each turned
+    up to 0.5 rad about the origin, then moved as a whole."""
+    frame = parallel_marker_frame(
+        time, com=tuple(rng.uniform(-0.05, 0.05, 2)), separation=rng.uniform(0.2, 0.5)
+    )
+    turned = {
+        side: move_markers(frame, rng.uniform(-0.5, 0.5), (0.0, 0.0)) for side in FOOT_LABELS
+    }
+    positions = dict(frame.positions)
+    for side, labels in FOOT_LABELS.items():
+        positions.update({label: turned[side].positions[label] for label in labels})
+    return move_markers(
+        MarkerFrame(time, positions), rng.uniform(-math.pi, math.pi), rng.uniform(-1.0, 1.0, 2)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    angle=st.floats(-math.pi, math.pi),
+    shift=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    anchor=st.sampled_from(["ecop", "mt-mid"]),
+)
+def test_foot_poses_at_is_rigid_motion_equivariant(seed, angle, shift, anchor):
+    rng = np.random.default_rng(seed)
+    frames = [stance_from_helpers(rng, t / 100) for t in range(3)]
+    trial = MarkerTrial.from_frames(frames)
+    moved = MarkerTrial.from_frames(move_markers(f, angle, shift) for f in frames)
+    for i in range(len(trial)):
+        for p, q in zip(foot_poses_at(trial, i, anchor=anchor), foot_poses_at(moved, i, anchor=anchor)):
+            assert abs(math.remainder(q.orientation - p.orientation, 2 * math.pi)) <= 1e-12
+            assert abs(q.length - p.length) <= 1e-12
+            assert abs(q.width - p.width) <= 1e-12
+            x, y = rotate_xy(p.ecop.x, p.ecop.y, angle)
+            assert math.hypot(q.ecop.x - x - shift[0], q.ecop.y - y - shift[1]) <= 1e-12

@@ -163,7 +163,9 @@ def test_blank_lines_still_count_as_rows(tmp_path):
 
 
 def reference_trial(path):
-    return MarkerTrial.from_frames(_read_rows(path))
+    trial = _read_rows(path)
+    assert isinstance(trial, MarkerTrial)
+    return trial
 
 
 def assert_same_trial(got, want):
