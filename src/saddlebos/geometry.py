@@ -518,6 +518,8 @@ def _continuous(boundary: BosBoundary) -> _ContinuousShape:
 
 
 def _classify(shape: _ContinuousShape, pts: np.ndarray, tol: float) -> np.ndarray:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"containment tol must be finite and at least 0, got {tol}")
     r_p = np.hypot(pts[:, 0], pts[:, 1])
     phi = np.arctan2(pts[:, 1], pts[:, 0])
     r_b = _continuous_radii(shape, phi)

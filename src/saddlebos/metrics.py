@@ -29,6 +29,9 @@ from .geometry import (
     saddle_array_from_task,
 )
 
+#: Most angular sectors an outer border may use; its per-sector arrays are O(n_bins).
+MAX_BINS = 1_000_000
+
 
 @dataclass(frozen=True)
 class ComTrajectory:
@@ -100,21 +103,28 @@ def poi(
 def _outer_border_indices(pts: np.ndarray, n_bins: int, about: str) -> np.ndarray:
     """Index of the farthest sample per nonempty angular sector about the
     origin or the mean sample (``about``), ordered by sector: the binning
-    every outer-border consumer shares."""
+    every outer-border consumer shares.  Of equally far samples in a sector
+    the latest (largest index) is kept.  Linear time, no sort: one
+    scatter-max pass finds each sector's peak radius, a second the last
+    sample at that peak."""
     if n_bins < 8:
         raise ValueError(f"n_bins must be at least 8, got {n_bins}")
+    if n_bins > MAX_BINS:
+        raise ValueError(f"n_bins must be at most {MAX_BINS}, got {n_bins}")
     if about not in ("origin", "mean"):
         raise ValueError(f"about must be 'origin' or 'mean', got {about!r}")
-    rel = pts - (pts.mean(axis=0) if about == "mean" else np.zeros(2))
+    rel = pts - pts.mean(axis=0) if about == "mean" else pts
     radii = np.hypot(rel[:, 0], rel[:, 1])
-    angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
+    phi = np.arctan2(rel[:, 1], rel[:, 0])
+    # np.mod(phi, TWO_PI) bit for bit, apart from -0.0, which is bin 0 either way
+    angles = np.where(phi < 0.0, phi + TWO_PI, phi)
     bins = np.minimum((angles / (TWO_PI / n_bins)).astype(int), n_bins - 1)
-    order = np.lexsort((radii, bins))
-    sorted_bins = bins[order]
-    is_bin_max = np.empty(len(order), dtype=bool)
-    is_bin_max[-1] = True
-    is_bin_max[:-1] = sorted_bins[1:] != sorted_bins[:-1]
-    return order[is_bin_max]
+    peak = np.full(n_bins, -np.inf)
+    np.maximum.at(peak, bins, radii)
+    at_peak = np.flatnonzero(radii == peak[bins])
+    last = np.full(n_bins, -1, dtype=np.intp)
+    np.maximum.at(last, bins[at_peak], at_peak)
+    return last[last >= 0]
 
 
 def outer_border(
@@ -126,10 +136,10 @@ def outer_border(
     """Saddle-space outer-border samples of the trajectory.
 
     Samples are binned by angle into ``n_bins`` equal sectors and the
-    maximum-radius sample of each nonempty sector is kept: the farthest
-    point the trajectory reached in every direction.  ``about`` selects the
-    reference point for binning, the stance origin (default) or the mean
-    sample position.
+    maximum-radius sample of each nonempty sector is kept, the latest of
+    equally far ones: the farthest point the trajectory reached in every
+    direction.  ``about`` selects the reference point for binning, the
+    stance origin (default) or the mean sample position.
     """
     pts = saddle_array_from_task(frame, traj.points)
     return pts[_outer_border_indices(pts, n_bins, about)]
@@ -186,6 +196,9 @@ def score_saddle_samples(
     frame."""
     if np.shape(saddle_pts) != (len(traj), 2) or np.shape(codes) != (len(traj),):
         raise ValueError("need one Saddle-space point and one code per trajectory sample")
+    saddle_pts = np.asarray(saddle_pts, dtype=float)
+    if not np.all(np.isfinite(saddle_pts)):
+        raise ValueError("Saddle-space points must be finite")
     idx = _outer_border_indices(saddle_pts, n_bins, about)
     return MetricsReport(
         poi=_inside_pct(codes),

@@ -308,39 +308,63 @@ def load_postures(path) -> list[PostureSpec]:
     return [_posture_from_dict(entry, i) for i, entry in enumerate(entries)]
 
 
-def _posture_from_dict(entry: dict, index: int) -> PostureSpec:
+def _posture_from_dict(entry, index: int) -> PostureSpec:
+    if not isinstance(entry, dict):
+        raise ValueError(f"posture entry {index} must be a JSON object, got {entry!r}")
     name = entry.get("name", f"posture-{index}")
+    if not isinstance(name, str):
+        raise ValueError(f"posture entry {index} key 'name' must be a string, got {name!r}")
+    where = f"posture entry {name!r}"
     if "left" in entry and "right" in entry:
         return PostureSpec(
             name=name,
-            left=_foot_from_dict(entry["left"], Side.LEFT),
-            right=_foot_from_dict(entry["right"], Side.RIGHT),
+            left=_foot_from_dict(entry["left"], Side.LEFT, where),
+            right=_foot_from_dict(entry["right"], Side.RIGHT, where),
         )
-    try:
-        return posture_from_parameters(
-            name,
-            float(entry["separation"]),
-            math.radians(float(entry["left_angle_deg"])),
-            math.radians(float(entry["right_angle_deg"])),
-            float(entry.get("foot_length", DEFAULT_FOOT_LENGTH)),
-            float(entry.get("foot_width", DEFAULT_FOOT_WIDTH)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"posture entry {name!r} is missing key {exc}") from None
+    return posture_from_parameters(
+        name,
+        _number(entry, "separation", where),
+        math.radians(_number(entry, "left_angle_deg", where)),
+        math.radians(_number(entry, "right_angle_deg", where)),
+        _number(entry, "foot_length", where, DEFAULT_FOOT_LENGTH),
+        _number(entry, "foot_width", where, DEFAULT_FOOT_WIDTH),
+    )
 
 
-def _foot_from_dict(entry: dict, side: Side) -> FootPose:
-    try:
-        x, y = entry["ecop"]
-        return FootPose(
-            ecop=Point2(float(x), float(y)),
-            orientation=math.radians(float(entry["angle_deg"])),
-            length=float(entry.get("length", DEFAULT_FOOT_LENGTH)),
-            width=float(entry.get("width", DEFAULT_FOOT_WIDTH)),
-            side=side,
-        )
-    except KeyError as exc:
-        raise ValueError(f"{side.value} foot entry is missing key {exc}") from None
+def _foot_from_dict(entry, side: Side, where: str) -> FootPose:
+    where = f"{where} {side.value} foot"
+    if not isinstance(entry, dict):
+        raise ValueError(f"{where} must be a JSON object, got {entry!r}")
+    if "ecop" not in entry:
+        raise ValueError(f"{where} is missing key 'ecop'")
+    ecop = entry["ecop"]
+    if not (isinstance(ecop, list) and len(ecop) == 2 and all(map(_is_number, ecop))):
+        raise ValueError(f"{where} key 'ecop' must be a list of two numbers, got {ecop!r}")
+    return FootPose(
+        ecop=Point2(float(ecop[0]), float(ecop[1])),
+        orientation=math.radians(_number(entry, "angle_deg", where)),
+        length=_number(entry, "length", where, DEFAULT_FOOT_LENGTH),
+        width=_number(entry, "width", where, DEFAULT_FOOT_WIDTH),
+        side=side,
+    )
+
+
+def _is_number(value) -> bool:
+    """A JSON int or decimal; ``true`` and ``false`` are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(entry: dict, key: str, where: str, default: float | None = None) -> float:
+    """``entry[key]`` as a float, or ``default`` when the key is absent and
+    a default is given."""
+    if key not in entry:
+        if default is None:
+            raise ValueError(f"{where} is missing key {key!r}")
+        return default
+    value = entry[key]
+    if not _is_number(value):
+        raise ValueError(f"{where} key {key!r} must be a number, got {value!r}")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

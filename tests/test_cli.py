@@ -549,3 +549,76 @@ def test_env_config_int_for_float_key(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SADDLE_BOS_CONFIG", str(config))
     assert main(["analyze", "--markers", str(trial)]) == 0
     assert capsys.readouterr().out == by_flag
+
+
+# --- malformed input corpus -------------------------------------------------
+
+FOOT = '{"ecop": [0.0, 0.15], "angle_deg": 90}'
+POSTURE_CORPUS = [
+    ("[1, 2]", "posture entry 0 must be a JSON object, got 1"),
+    ('{"left": [0, 0], "right": ' + FOOT + "}", "left foot must be a JSON object"),
+    ('{"separation": true, "left_angle_deg": 90, "right_angle_deg": 90}',
+     "key 'separation' must be a number, got True"),
+    ('{"separation": null, "left_angle_deg": 90, "right_angle_deg": 90}',
+     "key 'separation' must be a number, got None"),
+    ('{"separation": 0.3, "left_angle_deg": "90", "right_angle_deg": 90}',
+     "key 'left_angle_deg' must be a number"),
+    ('{"name": ["a"], "separation": 0.3, "left_angle_deg": 90, "right_angle_deg": 90}',
+     "posture entry 0 key 'name' must be a string"),
+    ('{"left": {"ecop": 5, "angle_deg": 90}, "right": ' + FOOT + "}",
+     "left foot key 'ecop' must be a list of two numbers, got 5"),
+    ('{"left": {"ecop": [1], "angle_deg": 90}, "right": ' + FOOT + "}",
+     "left foot key 'ecop' must be a list of two numbers"),
+    ('{"left": ' + FOOT + ', "right": {"ecop": [0, false], "angle_deg": 90}}',
+     "right foot key 'ecop' must be a list of two numbers"),
+    ('{"left": ' + FOOT + ', "right": {"ecop": [0, 0], "angle_deg": 90, "width": true}}',
+     "right foot key 'width' must be a number"),
+]
+TOO_MANY_BINS = "n_bins must be at most 1000000, got 1000001"
+CONFIG_CORPUS = [
+    ('{"contains_tol": 1e400}', "containment tol must be finite and at least 0, got inf"),
+    ('{"contains_tol": -1}', "containment tol must be finite and at least 0, got -1.0"),
+    ('{"bins": 1000001}', TOO_MANY_BINS),
+]
+
+
+def corpus_argv(command, out, posture=None):
+    """``command`` with every output it can write sent into ``out``."""
+    trial = ["--markers", str(TRIAL_CSV)]
+    extra = ["--posture-file", str(posture)] if posture else []
+    return {
+        "bos": ["bos", "--out", str(out / "bos.csv")] + extra,
+        "analyze": ["analyze", *trial, "--out", str(out / "report.json"),
+                    "--polygon-out", str(out / "polygon.csv"),
+                    "--saddle-com-out", str(out / "saddle_com.csv")] + extra,
+        "sweep": ["sweep", *trial, "--out", str(out)],
+        "validate": VALIDATE_FAST + extra,
+    }[command]
+
+
+@pytest.mark.parametrize("command, posture, config, flags, message", [
+    *((cmd, text, None, [], msg) for text, msg in POSTURE_CORPUS for cmd in ("bos", "analyze")),
+    ("validate", POSTURE_CORPUS[0][0], None, [], POSTURE_CORPUS[0][1]),
+    *(("analyze", None, text, [], msg) for text, msg in CONFIG_CORPUS),
+    *(("sweep", None, text, [], msg) for text, msg in CONFIG_CORPUS),
+    ("analyze", None, None, ["--bins", "1000001"], TOO_MANY_BINS),
+    ("sweep", None, None, ["--bins", "1000001"], TOO_MANY_BINS),
+])
+def test_malformed_input_exits_2_and_writes_nothing(
+    tmp_path, capsys, monkeypatch, command, posture, config, flags, message
+):
+    posture_file = config_file = None
+    if posture is not None:
+        posture_file = tmp_path / "posture.json"
+        posture_file.write_text(posture)
+    if config is not None:
+        config_file = tmp_path / "config.json"
+        config_file.write_text(config)
+        monkeypatch.setenv("SADDLE_BOS_CONFIG", str(config_file))
+    out = tmp_path / "out"
+    out.mkdir()
+    code = main(corpus_argv(command, out, posture_file) + flags)
+    captured = capsys.readouterr()
+    assert_one_line_input_error(code, captured.err, message)
+    assert captured.out == ""
+    assert not [p for p in out.rglob("*") if p.is_file()]

@@ -334,6 +334,20 @@ def test_contains_tolerance_band():
     assert contains(boundary, Point2(0, 0.2 + 5e-10), tol=1e-12) is Containment.OUTSIDE
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -1e-300])
+def test_containment_rejects_a_bad_tol(tol):
+    posture = parallel_posture()
+    frame, boundary = posture.frame(), posture.boundary()
+    message = "containment tol must be finite and at least 0"
+    with pytest.raises(ValueError, match=message):
+        classify_saddle_points(boundary, np.zeros((3, 2)), tol)
+    with pytest.raises(ValueError, match=message):
+        classify_task_segments([(frame, boundary)], 3, np.zeros((3, 2)), tol)
+    with pytest.raises(ValueError, match=message):
+        contains(boundary, Point2(0, 0), tol)
+    assert contains(boundary, Point2(0, 0.2), tol=0.0) is Containment.ON
+
+
 def test_contains_strict_mode_refused():
     posture = parallel_posture()
     strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from saddlebos import (
     BosBoundary,
@@ -21,7 +22,8 @@ from saddlebos import (
     saddle_frame_from_ecops,
     derive_bos_params,
 )
-from saddlebos.geometry import _continuous_radii, _continuous_shape, saddle_array_from_task
+from saddlebos.geometry import TWO_PI, _continuous_radii, _continuous_shape, saddle_array_from_task
+from saddlebos.metrics import MAX_BINS
 
 from helpers import parallel_posture
 
@@ -158,6 +160,74 @@ def test_outer_border_about_mean():
     about_mean = outer_border(traj, posture.frame(), n_bins=8, about="mean")
     assert len(about_origin) == 1  # all in one sector about the origin
     assert len(about_mean) == 2  # split on both sides of the centroid
+
+
+def lexsort_outer_border_indices(pts, n_bins, about):
+    """The O(n log n) kernel the linear one replaced, kept as the reference:
+    sort by (sector, radius) and keep the last sample of each sector."""
+    rel = pts - (pts.mean(axis=0) if about == "mean" else np.zeros(2))
+    radii = np.hypot(rel[:, 0], rel[:, 1])
+    angles = np.mod(np.arctan2(rel[:, 1], rel[:, 0]), TWO_PI)
+    bins = np.minimum((angles / (TWO_PI / n_bins)).astype(int), n_bins - 1)
+    order = np.lexsort((radii, bins))
+    sorted_bins = bins[order]
+    is_bin_max = np.empty(len(order), dtype=bool)
+    is_bin_max[-1] = True
+    is_bin_max[:-1] = sorted_bins[1:] != sorted_bins[:-1]
+    return order[is_bin_max]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5000),
+    n_bins=st.integers(8, 3600),
+    about=st.sampled_from(["origin", "mean"]),
+    decimals=st.integers(0, 3),
+    quarter_plane=st.booleans(),
+)
+def test_outer_border_indices_equal_the_lexsort_reference(
+    seed, n, n_bins, about, decimals, quarter_plane
+):
+    from saddlebos.metrics import _outer_border_indices
+
+    rng = np.random.default_rng(seed)
+    # a coarse grid and repeated rows force exact radius ties within a sector
+    pts = np.round(rng.normal(0.0, 1.0, (n, 2)), decimals)
+    if quarter_plane:  # three quarters of the sectors stay empty
+        pts = np.abs(pts)
+    repeat = rng.random(n) < 0.2
+    pts[repeat] = pts[rng.integers(0, n, np.count_nonzero(repeat))]
+    # signed zeros, phi = +-pi (negative x, y = +-0.0), the axes, and points
+    # built on sector edges
+    edges = (TWO_PI / n_bins) * rng.integers(0, n_bins, 64)
+    radii = rng.uniform(0.0, 2.0, 64)
+    special = np.vstack((
+        [[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [-1.5, 0.0], [-1.5, -0.0],
+         [-0.0, 1.5], [0.0, -1.5], [1.5, -0.0], [-1.0, 0.0]],
+        np.column_stack((radii * np.cos(edges), radii * np.sin(edges))),
+    ))
+    swap = rng.random(n) < 0.3
+    pts[swap] = special[rng.integers(0, len(special), np.count_nonzero(swap))]
+    want = lexsort_outer_border_indices(pts, n_bins, about)
+    got = _outer_border_indices(pts, n_bins, about)
+    assert np.array_equal(got, want)
+    assert got.dtype == want.dtype
+
+
+def test_compute_report_sorts_nothing(monkeypatch):
+    posture = parallel_posture()
+    points = np.random.default_rng(5).normal(0.0, 0.05, (10_000, 2))
+    traj = ComTrajectory(0.01 * np.arange(10_000), points)
+
+    def no_sort(*args, **kwargs):
+        raise AssertionError("the outer border must not sort")
+
+    for name in ("lexsort", "argsort", "sort"):
+        monkeypatch.setattr(np, name, no_sort)
+    report = compute_report(traj, posture.boundary(), posture.frame())
+    assert report.n_samples == 10_000
+    assert 0 < report.n_outer <= 360
 
 
 # --- poi360 -------------------------------------------------------------------
@@ -302,6 +372,11 @@ def test_compute_report_scores_its_saddle_samples():
         assert report.poi360 == poi360(traj, boundary, frame, n_bins=90, about=about)
     with pytest.raises(ValueError, match="n_bins"):
         score_saddle_samples(traj, saddle, codes, n_bins=7)
+    with pytest.raises(ValueError, match=f"n_bins must be at most {MAX_BINS}, got {MAX_BINS + 1}"):
+        score_saddle_samples(traj, saddle, codes, n_bins=MAX_BINS + 1)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="Saddle-space points must be finite"):
+            score_saddle_samples(traj, np.where(np.arange(400)[:, None] == 7, bad, saddle), codes)
     with pytest.raises(ValueError, match="about"):
         score_saddle_samples(traj, saddle, codes, about="centroid")
     with pytest.raises(ValueError, match="one code per"):
