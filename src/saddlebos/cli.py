@@ -41,6 +41,7 @@ from .geometry import (
     saddle_frame_from_ecops,
     sample_boundary,
     polygon_to_task_space,
+    stance_rows,
 )
 
 CONFIG_ENV_VAR = "SADDLE_BOS_CONFIG"
@@ -89,7 +90,10 @@ def _load_config() -> RunConfig:
         kind = type(getattr(config, key))
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[kind]):
             raise ValueError(f"config key {key!r} in {path} must be a {kind.__name__}, got {value!r}")
-        setattr(config, key, kind(value))
+        try:
+            setattr(config, key, kind(value))
+        except OverflowError:
+            raise ValueError(f"config key {key!r} in {path} is too large for a float") from None
     return config
 
 
@@ -197,20 +201,24 @@ def cmd_analyze(args, config: RunConfig) -> int:
     step = args.refit_feet_every or len(complete)
     anchor = "mt-mid" if args.d_from_mt_mid else "ecop"
 
-    def stance(start):
-        if posture is None:
-            left, right = mk.foot_poses_at(complete, start, config.ecop_fraction, config.up_axis, anchor)
-        else:
-            left, right = posture.left, posture.right
-        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        return frame, BosBoundary(derive_bos_params(frame, left, right), frame)
-
-    stances = map(stance, range(0, len(complete), step))
-    saddle_pts, codes = classify_task_segments(stances, step, traj.points, config.contains_tol)
+    # the first stance (the only one for static feet or a fixed posture) is
+    # built as objects, which also give the polygon; refit stances come from
+    # one array pass over the trial
+    if posture is None:
+        left, right = mk.foot_poses_at(complete, 0, config.ecop_fraction, config.up_axis, anchor)
+    else:
+        left, right = posture.left, posture.right
+    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+    boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+    table = stance_rows([(frame, boundary)])
+    if step < len(complete):
+        table = mk.stance_table(
+            complete, range(0, len(complete), step), config.ecop_fraction, config.up_axis, anchor
+        )
+    saddle_pts, codes = classify_task_segments(table, step, traj.points, config.contains_tol)
     report = mt.score_saddle_samples(traj, saddle_pts, codes, config.bins, config.k_sigma)
 
     if args.polygon_out:
-        frame, boundary = stance(0)
         polygon = polygon_to_task_space(frame, sample_boundary(boundary, config.samples))
         tio.export_polygon(polygon, args.polygon_out)
     if args.out:

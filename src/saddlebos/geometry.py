@@ -72,8 +72,38 @@ def wrap_signed(angle: float) -> float:
 
 
 def wrap_positive(angle: float) -> float:
-    """Wrap an angle to [0, 2*pi)."""
+    """Wrap an angle to [0, 2*pi); an array is wrapped element-wise."""
     return angle % TWO_PI
+
+
+def _wrap_signed_array(angle: np.ndarray) -> np.ndarray:
+    a = np.mod(angle + math.pi, TWO_PI) - math.pi
+    return np.where(a == -math.pi, math.pi, a)
+
+
+# numpy's arctan2, hypot and square round differently from the math module in
+# the last bit, so array stances call the math functions element by element
+_ATAN2 = np.frompyfunc(math.atan2, 2, 1)
+_HYPOT = np.frompyfunc(math.hypot, 2, 1)
+_POW = np.frompyfunc(math.pow, 2, 1)
+
+
+def math_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`math.atan2`, rounded as the scalar stance path rounds."""
+    return _ATAN2(y, x).astype(float)
+
+
+def math_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Element-wise :func:`math.hypot`, rounded as the scalar stance path rounds."""
+    return _HYPOT(x, y).astype(float)
+
+
+def _squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x**2`` as Python rounds it, and the mask where that raises
+    OverflowError (a finite square too large for a float)."""
+    x = np.abs(x)  # Python squares a negative float as its absolute value
+    overflow = np.isfinite(x) & np.isinf(x * x)
+    return _POW(np.where(overflow, 0.0, x), 2.0).astype(float), overflow
 
 
 @dataclass(frozen=True)
@@ -488,27 +518,91 @@ def classify_saddle_points(
 
 
 def classify_task_segments(
-    stances: Iterable[tuple[SaddleFrame, BosBoundary]],
+    table: np.ndarray,
     step: int,
     task_pts: np.ndarray,
     tol: float = DEFAULT_CONTAINS_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Saddle-space points and containment codes for (n, 2) task-space samples
-    in consecutive segments of ``step`` samples, each in its own stance: one
-    ``(frame, boundary)`` pair from ``stances``, reduced to twelve floats as it
-    arrives.  Bit for bit :func:`saddle_array_from_task` then
+    in consecutive segments of ``step`` samples, each in its own stance: row k
+    of the ``(ceil(n / step), 12)`` stance ``table`` (see :func:`stance_rows`)
+    serves segment k.  Bit for bit :func:`saddle_array_from_task` then
     :func:`classify_saddle_points` per segment, from one call of each kernel."""
     task_pts = np.asarray(task_pts, dtype=float)
     if step < 1:
         raise ValueError(f"segment step must be at least 1, got {step}")
-    table = np.empty((-(-len(task_pts) // step), 12))
-    for row, (frame, boundary) in zip(table, stances, strict=True):
-        c, s = math.cos(frame.rotation), math.sin(frame.rotation)
-        row[:] = (frame.origin.x, frame.origin.y, c, s, *_continuous(boundary))
+    table = np.asarray(table, dtype=float)
+    n_segments = -(-len(task_pts) // step)
+    if table.shape != (n_segments, 12):
+        raise ValueError(
+            f"{n_segments} segments need a ({n_segments}, 12) stance table, got {table.shape}"
+        )
     # one stance passes its scalars through: no per-sample shape arrays
     cols = table[0].tolist() if len(table) == 1 else table[np.arange(len(task_pts)) // step].T
     saddle_pts = _to_saddle(task_pts, *cols[:4])
     return saddle_pts, _classify(_ContinuousShape(*cols[4:]), saddle_pts, tol)
+
+
+def stance_rows(stances: Iterable[tuple[SaddleFrame, BosBoundary]]) -> np.ndarray:
+    """The (m, 12) stance table of ``(frame, boundary)`` pairs for
+    :func:`classify_task_segments`.  Row k holds frame k's origin x and y, the
+    cosine and sine of its rotation, and boundary k's resolved continuous
+    shape: cap radii left and right, corner angles alpha and beta, and the
+    corners' ax, h_left, bx and h_right.  A strict-mode boundary is refused."""
+    rows = [
+        (frame.origin.x, frame.origin.y, math.cos(frame.rotation), math.sin(frame.rotation),
+         *_continuous(boundary))
+        for frame, boundary in stances
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), 12)
+
+
+def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`stance_rows` for m stances given as (m, 5) arrays of left and
+    right feet, each row the anchor x and y, orientation, length and width of
+    a :class:`FootPose`, plus the (m,) mask of stances that
+    :func:`saddle_frame_from_ecops`, :func:`derive_bos_params` or
+    :class:`BosBoundary` would reject.  A rejected stance's row is meaningless.
+
+    Each accepted row equals ``stance_rows`` of the object path bit for bit:
+    the same operations in the same order, angles wrapped as often, and
+    ``atan2``, ``hypot`` and squares from the math module."""
+    (lx, ly, lo, ll, lw), (rx, ry, ro, rl, rw) = (np.asarray(f, dtype=float).T for f in (left, right))
+    with np.errstate(all="ignore"):
+        # saddle_frame_from_ecops, then SaddleFrame's checks and second wrap
+        dx, dy = lx - rx, ly - ry
+        separation = math_hypot(dx, dy)
+        ox, oy = (rx + lx) / 2.0, (ry + ly) / 2.0
+        rotation = _wrap_signed_array(_wrap_signed_array(math_atan2(dy, dx) - math.pi / 2.0))
+        rejected = (separation <= MIN_ANCHOR_SEPARATION) | ~np.isfinite(separation)
+        rejected |= ~(np.isfinite(ox) & np.isfinite(oy))
+        # derive_bos_params, after _check_feet_match_frame
+        half = separation / 2.0
+        ux, uy = -np.sin(rotation) * half, np.cos(rotation) * half
+        for fx, fy, sign in ((lx, ly, 1.0), (rx, ry, -1.0)):
+            rejected |= math_hypot(fx - (ox + sign * ux), fy - (oy + sign * uy)) > 1e-9
+        ul, ur = lo - math.pi / 2.0, ro - math.pi / 2.0
+        margin_left = 0.5 * (ll * np.sin(ul) + lw * np.cos(ul))
+        span_left = 0.5 * (ll * np.cos(ul) - lw * np.sin(ul))
+        margin_right = 0.5 * (rl * np.sin(ur) - rw * np.cos(ur))
+        span_right = 0.5 * (rl * np.cos(ur) - rw * np.sin(ur))
+        reach_left = 0.5 * separation + margin_left
+        reach_right = -0.5 * separation + margin_right
+        rejected |= np.abs(separation + reach_right - reach_left) <= 1e-12
+        # _continuous_shape
+        ax, bx = np.abs(span_left), np.abs(span_right)
+        rejected |= (ax >= reach_left) | (bx >= np.abs(reach_right))
+        heights = []
+        for reach, half_extent in ((reach_left, ax), (reach_right, bx)):
+            (reach_sq, reach_over), (extent_sq, extent_over) = _squares(reach), _squares(half_extent)
+            rejected |= reach_over | extent_over | (reach_sq - extent_sq < 0.0)
+            heights.append(np.sqrt(reach_sq - extent_sq))
+        h_left, h_right = heights
+        table = np.column_stack((
+            ox, oy, np.cos(rotation), np.sin(rotation), reach_left, -reach_right,
+            math_atan2(h_left, ax), math_atan2(h_right, bx), ax, h_left, bx, h_right,
+        ))
+    return table, rejected
 
 
 def _continuous(boundary: BosBoundary) -> _ContinuousShape:

@@ -9,8 +9,9 @@ and its orientation relative to the line connecting the two anchors.
 
 A trial is held column-wise in a :class:`MarkerTrial` (times plus an
 ``(n, 10, 3)`` coordinate array, NaN where a marker is absent); stances are
-read from its rows by :func:`foot_poses_at`.  A :class:`MarkerFrame` is only
-the public view of one row, keyed by label.
+read from its rows by :func:`foot_poses_at`, or, for many rows at once, by
+:func:`stance_table`.  A :class:`MarkerFrame` is only the public view of one
+row, keyed by label.
 
 Capture systems disagree on which axis points up, so every operation takes
 an ``up_axis`` argument.  Projection to the ground plane drops that axis and
@@ -22,12 +23,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .errors import CoincidentFeetError, DegenerateFootError, MissingMarkerError
-from .geometry import Point2, FootPose, Side, wrap_positive
+from .geometry import (
+    BosBoundary,
+    FootPose,
+    Point2,
+    Side,
+    derive_bos_params,
+    math_atan2,
+    math_hypot,
+    saddle_frame_from_ecops,
+    stance_rows_from_feet,
+    wrap_positive,
+)
 from .metrics import ComTrajectory
 
 MARKER_LABELS = (
@@ -282,6 +294,78 @@ def _foot_poses(
             )
         )
     return poses[0], poses[1]
+
+
+def stance_table(
+    trial: MarkerTrial,
+    rows: Sequence[int],
+    ecop_fraction: float = 0.5,
+    up_axis: str = "z",
+    anchor: str = "ecop",
+) -> np.ndarray:
+    """The (m, 12) stance table (see :func:`geometry.stance_rows`) of the
+    trial rows ``rows``, for :func:`geometry.classify_task_segments`.
+
+    Row k equals, bit for bit, ``stance_rows`` of row ``rows[k]``'s frame and
+    boundary built through :func:`foot_poses_at`,
+    :func:`geometry.saddle_frame_from_ecops`, :func:`geometry.derive_bos_params`
+    and :class:`geometry.BosBoundary`, but every stance comes from one array
+    pass: marker rows to feet arrays here, feet to frame, shape parameters and
+    boundary in :func:`geometry.stance_rows_from_feet`.  When that object path
+    would reject some stance, it is re-run on the first such row, in ``rows``
+    order, to raise the exception it raises there.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    # a bad argument fails every stance
+    table, rejected = np.empty((len(rows), 12)), np.ones(len(rows), dtype=bool)
+    if anchor in ("ecop", "mt-mid") and 0.0 < ecop_fraction < 1.0 and up_axis in _GROUND_AXES:
+        (left, right), feet_rejected = _feet_arrays(trial.xyz[rows], ecop_fraction, up_axis, anchor)
+        table, rejected = stance_rows_from_feet(left, right)
+        rejected |= feet_rejected
+    if rejected.any():
+        i = int(rows[rejected.argmax()])
+        left, right = foot_poses_at(trial, i, ecop_fraction, up_axis, anchor)
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        BosBoundary(derive_bos_params(frame, left, right), frame)
+        raise RuntimeError(f"stance_table rejected trial row {i}, which the object path accepts")
+    return table
+
+
+def _feet_arrays(
+    xyz: np.ndarray, ecop_fraction: float, up_axis: str, anchor: str
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    """``_foot_poses`` over (m, 10, 3) marker rows: the (m, 5) left and right
+    FootPose columns (anchor x and y, orientation, length, width) and the (m,)
+    mask of rows it would reject."""
+    i, j = _GROUND_AXES[up_axis]
+    xs, ys = xyz[:, :, i], xyz[:, :, j]
+    foot_markers = [MARKER_LABELS.index(label) for side in Side for label in FOOT_LABELS[side]]
+    rejected = np.isnan(xs[:, foot_markers]).any(axis=1)
+    feet = []
+    with np.errstate(all="ignore"):
+        for side in Side:
+            heel, mt1, mt5 = (MARKER_LABELS.index(label) for label in FOOT_LABELS[side])
+            hx, hy = xs[:, heel], ys[:, heel]
+            width = math_hypot(xs[:, mt1] - xs[:, mt5], ys[:, mt1] - ys[:, mt5])
+            mid_x, mid_y = (xs[:, mt1] + xs[:, mt5]) / 2.0, (ys[:, mt1] + ys[:, mt5]) / 2.0
+            length = math_hypot(mid_x - hx, mid_y - hy)
+            ecop_x = hx + ecop_fraction * (mid_x - hx)
+            ecop_y = hy + ecop_fraction * (mid_y - hy)
+            rejected |= ~(np.isfinite(mid_x) & np.isfinite(mid_y))
+            rejected |= (width < MIN_FOOT_DIMENSION) | (length < MIN_FOOT_DIMENSION)
+            rejected |= ~(np.isfinite(ecop_x) & np.isfinite(ecop_y))
+            anchor_pt = (mid_x, mid_y) if anchor == "mt-mid" else (ecop_x, ecop_y)
+            feet.append((*anchor_pt, math_atan2(mid_y - hy, mid_x - hx), length, width))
+        (lx, ly, *_), (rx, ry, *_) = feet
+        dx, dy = lx - rx, ly - ry
+        rejected |= math_hypot(dx, dy) <= 1e-9
+        line_angle = math_atan2(dy, dx)
+        # wrapped twice, as _foot_poses and then FootPose do
+        poses = tuple(
+            np.column_stack((x, y, wrap_positive(wrap_positive(line_angle - axis)), length, width))
+            for x, y, axis, length, width in feet
+        )
+    return poses, rejected
 
 
 def com_trajectory(

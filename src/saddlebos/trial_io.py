@@ -341,7 +341,7 @@ def _foot_from_dict(entry, side: Side, where: str) -> FootPose:
     if not (isinstance(ecop, list) and len(ecop) == 2 and all(map(_is_number, ecop))):
         raise ValueError(f"{where} key 'ecop' must be a list of two numbers, got {ecop!r}")
     return FootPose(
-        ecop=Point2(float(ecop[0]), float(ecop[1])),
+        ecop=Point2(*(_float(v, f"{where} key 'ecop'") for v in ecop)),
         orientation=math.radians(_number(entry, "angle_deg", where)),
         length=_number(entry, "length", where, DEFAULT_FOOT_LENGTH),
         width=_number(entry, "width", where, DEFAULT_FOOT_WIDTH),
@@ -364,7 +364,15 @@ def _number(entry: dict, key: str, where: str, default: float | None = None) -> 
     value = entry[key]
     if not _is_number(value):
         raise ValueError(f"{where} key {key!r} must be a number, got {value!r}")
-    return float(value)
+    return _float(value, f"{where} key {key!r}")
+
+
+def _float(value, what: str) -> float:
+    """A JSON number as a float; ``what`` names it when it is too large."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{what} is too large for a float") from None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from saddlebos.cli import main
 from saddlebos import (
     BosBoundary,
+    FootPose,
     classify_saddle_points,
     com_trajectory,
     compute_report,
@@ -357,6 +358,81 @@ def test_analyze_stance_error_mid_trial_writes_nothing(tmp_path, capsys):
     assert not any(path.exists() for path in paths)
 
 
+def analyze_error(tmp_path, capsys, rows, *flags):
+    """The stderr of an analyze run on ``rows`` that must fail with exit 2,
+    print nothing to stdout and write no file."""
+    trial = write_trial(tmp_path, rows)
+    out = tmp_path / "out"
+    out.mkdir(exist_ok=True)
+    code = main([
+        "analyze", "--markers", str(trial), *flags, "--out", str(out / "report.json"),
+        "--polygon-out", str(out / "bos.csv"), "--saddle-com-out", str(out / "com.csv"),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert not list(out.iterdir())
+    return captured.err
+
+
+def narrow_stance(row):
+    """Parallel feet 0.10 m apart: shorter than a foot is long, so the caps cannot close."""
+    row.update(complete_row(row["time"], separation=0.10))
+
+
+def zero_width(row):
+    row["LMT5"] = row["LMT1"]
+
+
+def coincident(row):
+    for side in ("HEE", "MT1", "MT5"):
+        row["R" + side] = row["L" + side]
+
+
+CAP_DEGENERATE = (
+    "DegenerateGeometryError: cap half-extent reaches past the cap radius; "
+    "boundary corners are not real\n"
+)
+ZERO_WIDTH = "DegenerateFootError: left foot dimensions collapse: length=0.255 m width=0 m\n"
+COINCIDENT = "CoincidentFeetError: foot anchors coincide; stance line is undefined\n"
+
+
+def test_analyze_refit_reports_the_first_failing_stance(tmp_path, capsys):
+    rows = wobble_rows(20)
+    narrow_stance(rows[5])
+    zero_width(rows[10])
+    assert analyze_error(tmp_path, capsys, rows, "--refit-feet-every", "1") == CAP_DEGENERATE
+    assert analyze_error(tmp_path, capsys, rows, "--refit-feet-every", "10") == ZERO_WIDTH
+
+
+@pytest.mark.parametrize("fault, message", [(zero_width, ZERO_WIDTH), (coincident, COINCIDENT)])
+@pytest.mark.parametrize("every", ["1", "7"])
+def test_analyze_refit_stance_error_mid_trial(tmp_path, capsys, fault, message, every):
+    rows = wobble_rows(20)
+    fault(rows[14])  # a refit frame for both steps
+    assert analyze_error(tmp_path, capsys, rows, "--refit-feet-every", every) == message
+    fault(rows[10])
+    rows[14] = wobble_rows(15)[14]
+    if every == "7":  # frame 10 is not a refit frame: its stance is never built
+        trial = write_trial(tmp_path, rows)
+        assert main(["analyze", "--markers", str(trial), "--refit-feet-every", every]) == 0
+    else:
+        assert analyze_error(tmp_path, capsys, rows, "--refit-feet-every", every) == message
+
+
+def test_analyze_refit_builds_objects_for_the_first_stance_only(tmp_path, capsys, monkeypatch):
+    built = {}
+    for cls in (FootPose, BosBoundary):
+        def counted(self, original=cls.__post_init__, name=cls.__name__):
+            built[name] = built.get(name, 0) + 1
+            original(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counted)
+    refit = analyze_outputs(tmp_path, TRIAL_CSV, "refit", "--refit-feet-every", "1")
+    assert built == {"FootPose": 2, "BosBoundary": 1}
+    monkeypatch.undo()
+    assert refit[1] == analyze_outputs(tmp_path, TRIAL_CSV, "static")[1]
+
+
 def test_analyze_uses_first_complete_frame_for_feet(tmp_path, capsys):
     rows = wobble_rows(20)
     rows[0]["LHEE"] = None  # force the stance to come from the second frame
@@ -574,6 +650,13 @@ POSTURE_CORPUS = [
     ('{"left": ' + FOOT + ', "right": {"ecop": [0, 0], "angle_deg": 90, "width": true}}',
      "right foot key 'width' must be a number"),
 ]
+HUGE_CONFIG = '{"k_sigma": 1' + "0" * 400 + "}"
+HUGE_POSTURES = [
+    ("separation", '{"separation": 1' + "0" * 400 + ', "left_angle_deg": 90, "right_angle_deg": 90}',
+     "key 'separation' is too large for a float"),
+    ("ecop", '{"left": {"ecop": [0, 1' + "0" * 400 + '], "angle_deg": 90}, "right": ' + FOOT + "}",
+     "left foot key 'ecop' is too large for a float"),
+]
 TOO_MANY_BINS = "n_bins must be at most 1000000, got 1000001"
 CONFIG_CORPUS = [
     ('{"contains_tol": 1e400}', "containment tol must be finite and at least 0, got inf"),
@@ -603,6 +686,10 @@ def corpus_argv(command, out, posture=None):
     *(("sweep", None, text, [], msg) for text, msg in CONFIG_CORPUS),
     ("analyze", None, None, ["--bins", "1000001"], TOO_MANY_BINS),
     ("sweep", None, None, ["--bins", "1000001"], TOO_MANY_BINS),
+    # a JSON integer too large for a float
+    *(pytest.param(cmd, text, None, [], msg, id=f"{cmd}-huge-{key}")
+      for key, text, msg in HUGE_POSTURES for cmd in ("bos", "analyze")),
+    pytest.param("analyze", None, HUGE_CONFIG, [], "config key 'k_sigma'", id="analyze-huge-k_sigma"),
 ])
 def test_malformed_input_exits_2_and_writes_nothing(
     tmp_path, capsys, monkeypatch, command, posture, config, flags, message
@@ -622,3 +709,42 @@ def test_malformed_input_exits_2_and_writes_nothing(
     assert_one_line_input_error(code, captured.err, message)
     assert captured.out == ""
     assert not [p for p in out.rglob("*") if p.is_file()]
+
+
+def malformed_csv(kind):
+    """The bundled trial, broken in one way."""
+    header, first, second, *rest = TRIAL_CSV.read_bytes().split(b"\n")
+    return {
+        "empty": b"",
+        "header only": header + b"\n",
+        "short row": b"\n".join([header, first, second.rpartition(b",")[0], *rest]),
+        "non-numeric cell": b"\n".join([header, first.replace(b"0.95", b"abc", 1), second, *rest]),
+        "wrong header": b"\n".join([header.replace(b"LASI_x", b"LASI_q"), first, second, *rest]),
+        "NUL byte": b"\n".join([header, first + b"\x00", second, *rest]),
+        "UTF-8 BOM": b"\xef\xbb\xbf" + b"\n".join([header, first, second, *rest]),
+        "non-UTF-8 byte": b"\n".join([header, first.replace(b"0.95", b"0.9\xff", 1), second, *rest]),
+    }[kind]
+
+
+@pytest.mark.parametrize("kind, code, message", [
+    ("empty", 2, "BadHeaderError: file is empty"),
+    ("header only", 3, "DataQualityError: trial holds no frames"),
+    ("short row", 2, "BadRowError: row 2, field 'row': expected 31 fields, got 30"),
+    ("non-numeric cell", 2, "BadRowError: row 1, field 'LASI_z': not a number: 'abc'"),
+    ("wrong header", 2, "BadHeaderError: header is missing columns: LASI_x"),
+    ("NUL byte", 2, "BadRowError: row 1, field 'RMT5_z': not a number: '0.01\\x00'"),
+    ("UTF-8 BOM", 2, "BadHeaderError: header is missing columns: time"),
+    ("non-UTF-8 byte", 2, "UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff"),
+])
+def test_malformed_csv_exits_2_or_3_and_writes_nothing(tmp_path, capsys, kind, code, message):
+    trial = tmp_path / "trial.csv"
+    trial.write_bytes(malformed_csv(kind))
+    out = tmp_path / "out"
+    out.mkdir()
+    argv = corpus_argv("analyze", out)
+    argv[argv.index(str(TRIAL_CSV))] = str(trial)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith(message) and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not list(out.iterdir())

@@ -33,6 +33,7 @@ from saddlebos.geometry import (
     classify_saddle_points,
     classify_task_segments,
     saddle_array_from_task,
+    stance_rows,
     task_array_from_saddle,
 )
 from saddlebos.trial_io import random_postures
@@ -342,7 +343,7 @@ def test_containment_rejects_a_bad_tol(tol):
     with pytest.raises(ValueError, match=message):
         classify_saddle_points(boundary, np.zeros((3, 2)), tol)
     with pytest.raises(ValueError, match=message):
-        classify_task_segments([(frame, boundary)], 3, np.zeros((3, 2)), tol)
+        classify_task_segments(stance_rows([(frame, boundary)]), 3, np.zeros((3, 2)), tol)
     with pytest.raises(ValueError, match=message):
         contains(boundary, Point2(0, 0), tol)
     assert contains(boundary, Point2(0, 0.2), tol=0.0) is Containment.ON
@@ -396,7 +397,7 @@ def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
         pts.append(seg)
         want_saddle.append(saddle_array_from_task(frame, seg))
         want_codes.append(classify_saddle_points(boundary, want_saddle[-1]))
-    saddle, codes = classify_task_segments(iter(stances), step, np.concatenate(pts))
+    saddle, codes = classify_task_segments(stance_rows(iter(stances)), step, np.concatenate(pts))
     assert saddle.tobytes() == np.concatenate(want_saddle).tobytes()
     assert np.array_equal(codes, np.concatenate(want_codes))
     assert codes.dtype == np.int8
@@ -405,19 +406,19 @@ def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
 def test_classify_task_segments_needs_one_stance_per_segment():
     stances = moved_stances(1, 3)
     pts = np.zeros((7, 2))
-    classify_task_segments(stances, 3, pts)
+    classify_task_segments(stance_rows(stances), 3, pts)
     for wrong in (stances[:2], stances + stances[:1]):
         with pytest.raises(ValueError):
-            classify_task_segments(iter(wrong), 3, pts)
+            classify_task_segments(stance_rows(iter(wrong)), 3, pts)
     with pytest.raises(ValueError, match="step must be at least 1, got 0"):
-        classify_task_segments(stances, 0, pts)
+        classify_task_segments(stance_rows(stances), 0, pts)
 
 
 def test_classify_task_segments_refuses_strict_mode():
     posture = parallel_posture()
     strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
     with pytest.raises(StrictModeUnsupportedError):
-        classify_task_segments([(posture.frame(), strict)], 5, np.zeros((5, 2)))
+        classify_task_segments(stance_rows([(posture.frame(), strict)]), 5, np.zeros((5, 2)))
 
 
 def test_anchors_inside_for_catalog():

@@ -5,24 +5,31 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from saddlebos import (
+    BosBoundary,
     CoincidentFeetError,
     DegenerateFootError,
+    DegenerateGeometryError,
     MarkerFrame,
     MissingMarkerError,
     Side,
     com_from_pelvis,
     com_trajectory,
+    derive_bos_params,
     foot_geometry,
     foot_poses,
     foot_poses_at,
     parse_trial_csv,
+    saddle_frame_from_ecops,
 )
+from saddlebos import markers
+from saddlebos.geometry import stance_rows
 from saddlebos.markers import (
     FOOT_LABELS,
     MARKER_LABELS,
     PELVIS_LABELS,
     MarkerTrial,
     ground_projection,
+    stance_table,
 )
 
 from helpers import TRIAL_CSV, move_markers, parallel_marker_frame, rotate_xy
@@ -409,3 +416,131 @@ def test_foot_poses_at_is_rigid_motion_equivariant(seed, angle, shift, anchor):
             assert abs(q.width - p.width) <= 1e-12
             x, y = rotate_xy(p.ecop.x, p.ecop.y, angle)
             assert math.hypot(q.ecop.x - x - shift[0], q.ecop.y - y - shift[1]) <= 1e-12
+
+
+# --- stance table -----------------------------------------------------------
+
+STANCE_KINDS = (
+    "normal", "narrow", "zero-width", "zero-length", "coincident", "missing", "aligned"
+)
+
+
+def foot_markers(heel, angle, length, width):
+    """Ground points of a heel and its two metatarsal markers."""
+    c, s = math.cos(angle), math.sin(angle)
+    mid = (heel[0] + length * c, heel[1] + length * s)
+    return [heel, (mid[0] - width / 2 * s, mid[1] + width / 2 * c),
+            (mid[0] + width / 2 * s, mid[1] - width / 2 * c)]
+
+
+def stance_ground(kind, u):
+    """Ground points of the six foot markers (left then right, heel, MT1,
+    MT5) of one stance of ``kind``, shaped by the numbers ``u`` in [0, 1)."""
+    length = [0.2 + 0.1 * u[0], 0.2 + 0.1 * u[1]]
+    width = [0.06 + 0.06 * u[2], 0.06 + 0.06 * u[3]]
+    angle = [u[4] - 0.5, u[5] - 0.5]
+    separation = 0.15 + 0.45 * u[6]
+    if kind == "narrow":  # parallel feet closer than a foot is long: the caps cannot close
+        separation, angle = 0.12 * u[6], [0.0, 0.0]
+    elif kind in ("zero-width", "zero-length"):
+        (width if kind == "zero-width" else length)[int(u[7] < 0.5)] = 0.0
+    if kind == "aligned":  # both feet along the anchor line: no edge slope
+        left = foot_markers((0.0, 0.2), math.pi / 2, 0.25, 0.1)
+        right = foot_markers((0.0, -0.45), math.pi / 2, 0.25, 0.1)
+    else:
+        left = foot_markers((-length[0] / 2, separation / 2), angle[0], length[0], width[0])
+        right = foot_markers((-length[1] / 2, -separation / 2), angle[1], length[1], width[1])
+    if kind == "coincident":
+        right = left
+    return left + right
+
+
+def marker_trial(kinds, us, up_axis, turn, offset):
+    """A trial with one row per stance kind, its ground plane turned by
+    ``turn`` and moved by ``offset`` along both axes."""
+    foot_at = [MARKER_LABELS.index(label) for side in Side for label in FOOT_LABELS[side]]
+    c, s = math.cos(turn), math.sin(turn)
+    ground = np.zeros((len(kinds), len(MARKER_LABELS), 2))
+    ground[:, :4] = [(0.1, 0.09), (0.1, -0.09), (-0.1, 0.07), (-0.1, -0.07)]
+    for row, kind, u in zip(ground, kinds, us):
+        row[foot_at] = [(c * x - s * y + offset, s * x + c * y + offset) for x, y in stance_ground(kind, u)]
+    height = np.full(ground.shape[:2], 0.02)
+    gx, gy = ground[..., 0], ground[..., 1]
+    xyz = np.stack({"z": (gx, gy, height), "y": (gy, height, gx), "x": (height, gx, gy)}[up_axis], axis=-1)
+    for k, (kind, u) in enumerate(zip(kinds, us)):
+        if kind == "missing":
+            xyz[k, foot_at[int(u[7] * 6)]] = math.nan
+    return MarkerTrial(np.arange(len(kinds)) / 100.0, xyz)
+
+
+def object_stance_rows(trial, rows, ecop_fraction, up_axis, anchor):
+    """The stance table of ``rows`` built one stance at a time from objects."""
+    pairs = []
+    for i in rows:
+        left, right = foot_poses_at(trial, i, ecop_fraction, up_axis, anchor)
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        pairs.append((frame, BosBoundary(derive_bos_params(frame, left, right), frame)))
+    return stance_rows(pairs)
+
+
+def table_outcome(call):
+    """The table's bytes, or the error type and message."""
+    try:
+        table = call()
+    except Exception as exc:  # any error: both paths must raise the same one
+        return type(exc), str(exc)
+    return table.shape, table.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_stance_table_equals_the_object_path_bit_for_bit(data):
+    n = data.draw(st.integers(1, 6))
+    kinds = data.draw(st.lists(
+        st.sampled_from(("normal",) * 4 + STANCE_KINDS), min_size=n, max_size=n
+    ))
+    us = [data.draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=8, max_size=8))
+          for _ in range(n)]
+    up_axis = data.draw(st.sampled_from("xyz"))
+    turn = data.draw(st.sampled_from([0.0]) | st.floats(-4.0, 4.0))
+    offset = data.draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, -1e9]))
+    trial = marker_trial(kinds, us, up_axis, turn, offset)
+    rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=8))
+    args = (
+        data.draw(st.sampled_from([0.5, 0.0, 1.0, -0.25, 1.5]) | st.floats(0.0, 1.0)),
+        up_axis,
+        data.draw(st.sampled_from(["ecop", "mt-mid"])),
+    )
+    assert table_outcome(lambda: stance_table(trial, rows, *args)) == table_outcome(
+        lambda: object_stance_rows(trial, rows, *args)
+    )
+
+
+@pytest.mark.parametrize("kind, error, message", [
+    ("narrow", DegenerateGeometryError, "cap half-extent reaches past the cap radius"),
+    ("zero-width", DegenerateFootError, "foot dimensions collapse"),
+    ("zero-length", DegenerateFootError, "foot dimensions collapse"),
+    ("coincident", CoincidentFeetError, "foot anchors coincide"),
+    ("missing", MissingMarkerError, "is missing"),
+    ("aligned", DegenerateGeometryError, "edge slopes are undefined"),
+])
+@pytest.mark.parametrize("up_axis", ["x", "y", "z"])
+def test_stance_table_raises_for_the_first_failing_row(kind, error, message, up_axis):
+    us = [[0.5] * 7 + [0.8]] * 4
+    trial = marker_trial(["normal", kind, "normal", "narrow"], us, up_axis, 0.3, 2.0)
+    for anchor in ("ecop", "mt-mid"):
+        with pytest.raises(error, match=message):
+            stance_table(trial, [0, 2, 1, 3], 0.5, up_axis, anchor)
+        with pytest.raises(error, match=message):
+            object_stance_rows(trial, [1], 0.5, up_axis, anchor)
+        assert stance_table(trial, [2, 0], 0.5, up_axis, anchor).shape == (2, 12)
+
+
+def test_stance_table_never_continues_past_a_rejection_it_cannot_explain(monkeypatch):
+    trial = marker_trial(["normal"] * 3, [[0.5] * 8] * 3, "z", 0.0, 0.0)
+    real = markers.stance_rows_from_feet
+    monkeypatch.setattr(
+        markers, "stance_rows_from_feet", lambda left, right: (real(left, right)[0], np.arange(3) == 1)
+    )
+    with pytest.raises(RuntimeError, match="rejected trial row 1, which the object path accepts"):
+        stance_table(trial, range(3))
