@@ -15,6 +15,10 @@ containment queries.  ``STRICT`` evaluates the piecewise formulas that define
 the caps and edge lines branch by branch; it is kept for traceability and
 does not describe a closed curve, so containment is refused in that mode.
 
+A stance is built by three array stages (anchors to frame, feet to shape
+parameters, parameters to boundary shape) over many stances at once; the
+scalar API runs them on one row.
+
 All angles are radians and all lengths are meters.  Task-space coordinates
 live in the fixed laboratory frame; Saddle coordinates in the stance frame.
 """
@@ -82,19 +86,19 @@ def _wrap_signed_array(angle: np.ndarray) -> np.ndarray:
 
 
 # numpy's arctan2, hypot and square round differently from the math module in
-# the last bit, so array stances call the math functions element by element
+# the last bit, so the stance stages call the math functions element by element
 _ATAN2 = np.frompyfunc(math.atan2, 2, 1)
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 _POW = np.frompyfunc(math.pow, 2, 1)
 
 
 def math_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`math.atan2`, rounded as the scalar stance path rounds."""
+    """Element-wise :func:`math.atan2`, rounded as the math module rounds."""
     return _ATAN2(y, x).astype(float)
 
 
 def math_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Element-wise :func:`math.hypot`, rounded as the scalar stance path rounds."""
+    """Element-wise :func:`math.hypot`, rounded as the math module rounds."""
     return _HYPOT(x, y).astype(float)
 
 
@@ -148,6 +152,8 @@ class FootPose:
             raise ValueError("orientation must be finite")
         if not (self.length > 0.0 and self.width > 0.0):
             raise ValueError("foot length and width must be positive")
+        if not (math.isfinite(self.length) and math.isfinite(self.width)):
+            raise ValueError("foot length and width must be finite")
         object.__setattr__(self, "orientation", wrap_positive(self.orientation))
 
 
@@ -254,16 +260,9 @@ def saddle_frame_from_ecops(right_ecop: Point2, left_ecop: Point2) -> SaddleFram
     right anchor toward the left one, which puts the left anchor at
     (0, +separation/2) in Saddle coordinates.
     """
-    dx = left_ecop.x - right_ecop.x
-    dy = left_ecop.y - right_ecop.y
-    separation = math.hypot(dx, dy)
-    if separation <= MIN_ANCHOR_SEPARATION:
-        raise CoincidentFeetError(
-            f"anchor separation {separation:.3e} m is below {MIN_ANCHOR_SEPARATION:.0e} m"
-        )
-    origin = Point2((right_ecop.x + left_ecop.x) / 2.0, (right_ecop.y + left_ecop.y) / 2.0)
-    rotation = wrap_signed(math.atan2(dy, dx) - math.pi / 2.0)
-    return SaddleFrame(origin, rotation, separation)
+    (ox, oy, rotation, separation), fault = _frame_stage(*_one_row(*right_ecop, *left_ecop))
+    raise_first_fault(_STANCE_FAULTS, fault, separation=separation, origin_x=ox, origin_y=oy)
+    return SaddleFrame(Point2(ox.item(), oy.item()), rotation.item(), separation.item())
 
 
 def to_task_space(frame: SaddleFrame, p_saddle: Point2) -> Point2:
@@ -344,48 +343,13 @@ def derive_bos_params(frame: SaddleFrame, left: FootPose, right: FootPose) -> Bo
     """
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
         raise ValueError("foot poses passed in the wrong order")
-    _check_feet_match_frame(frame, left, right)
-
-    ul = left.orientation - math.pi / 2.0
-    ur = right.orientation - math.pi / 2.0
-    margin_left = 0.5 * (left.length * math.sin(ul) + left.width * math.cos(ul))
-    span_left = 0.5 * (left.length * math.cos(ul) - left.width * math.sin(ul))
-    margin_right = 0.5 * (right.length * math.sin(ur) - right.width * math.cos(ur))
-    span_right = 0.5 * (right.length * math.cos(ur) - right.width * math.sin(ur))
-    reach_left = 0.5 * frame.separation + margin_left
-    reach_right = -0.5 * frame.separation + margin_right
-
-    denom = frame.separation + reach_right - reach_left
-    if abs(denom) <= 1e-12:
-        raise DegenerateGeometryError(
-            "edge slopes are undefined: the feet contribute identical margins"
-        )
-    slope_back = (span_right - span_left) / denom
-    slope_front = (span_left - span_right) / denom
-    return BosParams(
-        reach_left=reach_left,
-        reach_right=reach_right,
-        margin_left=margin_left,
-        margin_right=margin_right,
-        span_left=span_left,
-        span_right=span_right,
-        slope_back=slope_back,
-        slope_front=slope_front,
-    )
-
-
-def _check_feet_match_frame(frame: SaddleFrame, left: FootPose, right: FootPose) -> None:
-    # the anchors belong at origin +/- R(rotation) (0, separation/2) in task space
-    half = frame.separation / 2.0
-    ux = -math.sin(frame.rotation) * half
-    uy = math.cos(frame.rotation) * half
-    for foot, sign in ((left, 1.0), (right, -1.0)):
-        want_x = frame.origin.x + sign * ux
-        want_y = frame.origin.y + sign * uy
-        if math.hypot(foot.ecop.x - want_x, foot.ecop.y - want_y) > 1e-9:
-            raise ValueError(
-                f"{foot.side.value} anchor does not match the frame it was paired with"
-            )
+    params, fault = _params_stage(*_one_row(
+        *frame.origin, frame.rotation, frame.separation,
+        *left.ecop, left.orientation, left.length, left.width,
+        *right.ecop, right.orientation, right.length, right.width,
+    ))
+    raise_first_fault(_STANCE_FAULTS, fault)
+    return BosParams(*(v.item() for v in params))
 
 
 class _ContinuousShape(NamedTuple):
@@ -404,24 +368,102 @@ class _ContinuousShape(NamedTuple):
 
 
 def _continuous_shape(params: BosParams) -> _ContinuousShape:
-    ax = abs(params.span_left)
-    bx = abs(params.span_right)
-    if ax >= params.reach_left or bx >= abs(params.reach_right):
-        raise DegenerateGeometryError(
-            "cap half-extent reaches past the cap radius; boundary corners are not real"
-        )
-    h_left = math.sqrt(params.reach_left**2 - ax**2)
-    h_right = math.sqrt(params.reach_right**2 - bx**2)
-    return _ContinuousShape(
-        r_left=params.reach_left,
-        r_right=-params.reach_right,
-        alpha=math.atan2(h_left, ax),
-        beta=math.atan2(h_right, bx),
-        ax=ax,
-        h_left=h_left,
-        bx=bx,
-        h_right=h_right,
-    )
+    """The boundary shape of one set of parameters: one row of the shape stage."""
+    p = params
+    shape, fault = _shape_stage(*_one_row(p.reach_left, p.reach_right, p.span_left, p.span_right))
+    raise_first_fault(_STANCE_FAULTS, fault)
+    return _ContinuousShape(*(v.item() for v in shape))
+
+
+# ---------------------------------------------------------------------------
+# Stance stages
+#
+# Each stage maps columns of m stances to result columns and to the code k of
+# the first check each stance fails (0: none); code k raises _STANCE_FAULTS[k].
+# Every row is computed, faulty or not, so numpy's warnings are off.
+
+_STANCE_FAULTS = (
+    None,
+    (CoincidentFeetError,  # frame stage
+     f"anchor separation {{separation:.3e}} m is below {MIN_ANCHOR_SEPARATION:.0e} m"),
+    (ValueError, "point components must be finite, got ({origin_x}, {origin_y})"),
+    (ValueError, "separation must be non-negative and finite"),
+    (ValueError, "left anchor does not match the frame it was paired with"),  # params stage
+    (ValueError, "right anchor does not match the frame it was paired with"),
+    (DegenerateGeometryError, "edge slopes are undefined: the feet contribute identical margins"),
+    (DegenerateGeometryError,  # shape stage
+     "cap half-extent reaches past the cap radius; boundary corners are not real"),
+    (DegenerateGeometryError, "boundary is too large: a cap radius squared overflows a float"),
+)
+
+
+def raise_first_fault(faults: tuple, codes: np.ndarray, **values: np.ndarray) -> None:
+    """Raise ``faults[code]``, an exception type and a message template, for the
+    first row whose fault code is not 0, with that row of each of ``values``."""
+    if codes.any():
+        k = np.flatnonzero(codes)[0]
+        error, template = faults[codes[k]]
+        raise error(template.format(**{name: v[k].item() for name, v in values.items()}))
+
+
+def fault_codes(first: int, *failed: np.ndarray) -> np.ndarray:
+    """Per row, ``first`` + the index of the first check in ``failed`` it fails, or 0."""
+    failed = np.array(failed)
+    return np.where(failed.any(axis=0), first + failed.argmax(axis=0), 0)
+
+
+def _one_row(*values: float) -> tuple[np.ndarray, ...]:
+    """One (1,) column per value."""
+    return tuple(np.array([values], dtype=float).T)
+
+
+def _frame_stage(rx, ry, lx, ly):
+    """:func:`saddle_frame_from_ecops`: origin x and y, rotation wrapped once
+    (a :class:`SaddleFrame` wraps it again) and separation, and fault codes."""
+    with np.errstate(all="ignore"):
+        dx, dy = lx - rx, ly - ry
+        separation = math_hypot(dx, dy)
+        ox, oy = (rx + lx) / 2.0, (ry + ly) / 2.0
+        rotation = _wrap_signed_array(math_atan2(dy, dx) - math.pi / 2.0)
+    not_finite = ~(np.isfinite(ox) & np.isfinite(oy)), ~np.isfinite(separation)
+    fault = fault_codes(1, separation <= MIN_ANCHOR_SEPARATION, *not_finite)
+    return (ox, oy, rotation, separation), fault
+
+
+def _params_stage(ox, oy, rotation, separation, lx, ly, lo, ll, lw, rx, ry, ro, rl, rw):
+    """:func:`derive_bos_params` for frames and feet (anchor x and y, orientation,
+    length, width): the eight :class:`BosParams` fields, and fault codes."""
+    with np.errstate(all="ignore"):
+        # the anchors belong at origin +/- R(rotation) (0, separation/2) in task space
+        half = separation / 2.0
+        ux, uy = -np.sin(rotation) * half, np.cos(rotation) * half
+        off_x = np.array([lx - (ox + ux), rx - (ox - ux)])  # left, right
+        off_frame = math_hypot(off_x, np.array([ly - (oy + uy), ry - (oy - uy)])) > 1e-9
+        ul, ur = lo - math.pi / 2.0, ro - math.pi / 2.0
+        margin_left = 0.5 * (ll * np.sin(ul) + lw * np.cos(ul))
+        span_left = 0.5 * (ll * np.cos(ul) - lw * np.sin(ul))
+        margin_right = 0.5 * (rl * np.sin(ur) - rw * np.cos(ur))
+        span_right = 0.5 * (rl * np.cos(ur) - rw * np.sin(ur))
+        reach_left = 0.5 * separation + margin_left
+        reach_right = -0.5 * separation + margin_right
+        denom = separation + reach_right - reach_left
+        slopes = (span_right - span_left) / denom, (span_left - span_right) / denom
+    fault = fault_codes(4, *off_frame, np.abs(denom) <= 1e-12)
+    params = reach_left, reach_right, margin_left, margin_right, span_left, span_right, *slopes
+    return params, fault
+
+
+def _shape_stage(reach_left, reach_right, span_left, span_right):
+    """The resolved :class:`_ContinuousShape` of shape parameters, and fault
+    codes: the caps cannot close, or a cap radius squared overflows."""
+    ax, bx = np.abs(span_left), np.abs(span_right)
+    with np.errstate(all="ignore"):
+        squares, overflow = _squares(np.array([reach_left, ax, reach_right, bx]))
+        left_sq, ax_sq, right_sq, bx_sq = squares
+        h_left, h_right = np.sqrt(left_sq - ax_sq), np.sqrt(right_sq - bx_sq)
+    fault = fault_codes(7, (ax >= reach_left) | (bx >= np.abs(reach_right)), overflow.any(axis=0))
+    alpha, beta = math_atan2(np.array([h_left, h_right]), np.array([ax, bx]))
+    return (reach_left, -reach_right, alpha, beta, ax, h_left, bx, h_right), fault
 
 
 def _continuous_radii(shape: _ContinuousShape, phis: np.ndarray) -> np.ndarray:
@@ -557,52 +599,21 @@ def stance_rows(stances: Iterable[tuple[SaddleFrame, BosBoundary]]) -> np.ndarra
     return np.array(rows, dtype=float).reshape(len(rows), 12)
 
 
-def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """:func:`stance_rows` for m stances given as (m, 5) arrays of left and
     right feet, each row the anchor x and y, orientation, length and width of
-    a :class:`FootPose`, plus the (m,) mask of stances that
-    :func:`saddle_frame_from_ecops`, :func:`derive_bos_params` or
-    :class:`BosBoundary` would reject.  A rejected stance's row is meaningless.
-
-    Each accepted row equals ``stance_rows`` of the object path bit for bit:
-    the same operations in the same order, angles wrapped as often, and
-    ``atan2``, ``hypot`` and squares from the math module."""
-    (lx, ly, lo, ll, lw), (rx, ry, ro, rl, rw) = (np.asarray(f, dtype=float).T for f in (left, right))
-    with np.errstate(all="ignore"):
-        # saddle_frame_from_ecops, then SaddleFrame's checks and second wrap
-        dx, dy = lx - rx, ly - ry
-        separation = math_hypot(dx, dy)
-        ox, oy = (rx + lx) / 2.0, (ry + ly) / 2.0
-        rotation = _wrap_signed_array(_wrap_signed_array(math_atan2(dy, dx) - math.pi / 2.0))
-        rejected = (separation <= MIN_ANCHOR_SEPARATION) | ~np.isfinite(separation)
-        rejected |= ~(np.isfinite(ox) & np.isfinite(oy))
-        # derive_bos_params, after _check_feet_match_frame
-        half = separation / 2.0
-        ux, uy = -np.sin(rotation) * half, np.cos(rotation) * half
-        for fx, fy, sign in ((lx, ly, 1.0), (rx, ry, -1.0)):
-            rejected |= math_hypot(fx - (ox + sign * ux), fy - (oy + sign * uy)) > 1e-9
-        ul, ur = lo - math.pi / 2.0, ro - math.pi / 2.0
-        margin_left = 0.5 * (ll * np.sin(ul) + lw * np.cos(ul))
-        span_left = 0.5 * (ll * np.cos(ul) - lw * np.sin(ul))
-        margin_right = 0.5 * (rl * np.sin(ur) - rw * np.cos(ur))
-        span_right = 0.5 * (rl * np.cos(ur) - rw * np.sin(ur))
-        reach_left = 0.5 * separation + margin_left
-        reach_right = -0.5 * separation + margin_right
-        rejected |= np.abs(separation + reach_right - reach_left) <= 1e-12
-        # _continuous_shape
-        ax, bx = np.abs(span_left), np.abs(span_right)
-        rejected |= (ax >= reach_left) | (bx >= np.abs(reach_right))
-        heights = []
-        for reach, half_extent in ((reach_left, ax), (reach_right, bx)):
-            (reach_sq, reach_over), (extent_sq, extent_over) = _squares(reach), _squares(half_extent)
-            rejected |= reach_over | extent_over | (reach_sq - extent_sq < 0.0)
-            heights.append(np.sqrt(reach_sq - extent_sq))
-        h_left, h_right = heights
-        table = np.column_stack((
-            ox, oy, np.cos(rotation), np.sin(rotation), reach_left, -reach_right,
-            math_atan2(h_left, ax), math_atan2(h_right, bx), ax, h_left, bx, h_right,
-        ))
-    return table, rejected
+    a :class:`FootPose`: the stages that :func:`saddle_frame_from_ecops`,
+    :func:`derive_bos_params` and :class:`BosBoundary` run on one stance, so
+    each row is theirs bit for bit and the first stance they reject raises."""
+    left, right = (np.asarray(f, dtype=float).reshape(-1, 5).T for f in (left, right))
+    (ox, oy, rotation, separation), fault = _frame_stage(right[0], right[1], left[0], left[1])
+    rotation = _wrap_signed_array(rotation)  # SaddleFrame's second wrap
+    params, params_fault = _params_stage(ox, oy, rotation, separation, *left, *right)
+    shape, shape_fault = _shape_stage(*params[:2], *params[4:6])
+    for later in (params_fault, shape_fault):
+        fault = np.where(fault, fault, later)
+    raise_first_fault(_STANCE_FAULTS, fault, separation=separation, origin_x=ox, origin_y=oy)
+    return np.column_stack((ox, oy, np.cos(rotation), np.sin(rotation), *shape))
 
 
 def _continuous(boundary: BosBoundary) -> _ContinuousShape:

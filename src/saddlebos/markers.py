@@ -8,10 +8,11 @@ configurable fraction of the way from the heel to the metatarsal midpoint,
 and its orientation relative to the line connecting the two anchors.
 
 A trial is held column-wise in a :class:`MarkerTrial` (times plus an
-``(n, 10, 3)`` coordinate array, NaN where a marker is absent); stances are
-read from its rows by :func:`foot_poses_at`, or, for many rows at once, by
-:func:`stance_table`.  A :class:`MarkerFrame` is only the public view of one
-row, keyed by label.
+``(n, 10, 3)`` coordinate array, NaN where a marker is absent).  A
+:class:`MarkerFrame` is only the public view of one row, keyed by label.
+Stances are read from marker rows by one array pass, the feet stage, which
+:func:`stance_table` runs over many rows and :func:`foot_poses_at`,
+:func:`foot_poses` and :func:`foot_geometry` over one.
 
 Capture systems disagree on which axis points up, so every operation takes
 an ``up_axis`` argument.  Projection to the ground plane drops that axis and
@@ -29,14 +30,13 @@ import numpy as np
 
 from .errors import CoincidentFeetError, DegenerateFootError, MissingMarkerError
 from .geometry import (
-    BosBoundary,
     FootPose,
     Point2,
     Side,
-    derive_bos_params,
+    fault_codes,
     math_atan2,
     math_hypot,
-    saddle_frame_from_ecops,
+    raise_first_fault,
     stance_rows_from_feet,
     wrap_positive,
 )
@@ -58,6 +58,20 @@ _ABSENT = (math.nan, math.nan, math.nan)
 
 #: Sole dimensions below this are treated as marker errors.
 MIN_FOOT_DIMENSION = 1e-3
+
+
+#: Fault code k of the feet stage raises ``_FEET_FAULTS[k]`` (see
+#: :func:`geometry.raise_first_fault`): each foot's checks, then the anchors'.
+_FEET_FAULTS = (
+    None,
+    (MissingMarkerError, "{missing}"),
+    (ValueError, "point components must be finite, got ({mid_x}, {mid_y})"),
+    (DegenerateFootError,
+     "{side} foot dimensions collapse: length={length:.4g} m width={width:.4g} m"),
+    (ValueError, "foot length and width must be finite"),
+    (ValueError, "point components must be finite, got ({ecop_x}, {ecop_y})"),
+    (CoincidentFeetError, "foot anchors coincide; stance line is undefined"),
+)
 
 
 @dataclass(frozen=True)
@@ -192,13 +206,6 @@ def ground_projection(xyz: tuple[float, float, float], up_axis: str = "z") -> Po
     return Point2(xyz[i], xyz[j])
 
 
-def _marker(row: list, label: str, up_axis: str) -> Point2:
-    xyz = row[MARKER_LABELS.index(label)]
-    if math.isnan(xyz[0]):
-        raise MissingMarkerError(label)
-    return ground_projection(xyz, up_axis)
-
-
 def com_from_pelvis(frame: MarkerFrame, up_axis: str = "z") -> Point2:
     """Ground-plane centroid of the four pelvic markers."""
     return Point2(*com_trajectory([frame], up_axis).points[0].tolist())
@@ -216,27 +223,12 @@ def foot_geometry(
     midpoint distance, both in the ground plane.  The anchor (eCoP) sits at
     ``ecop_fraction`` of the way from the heel to the metatarsal midpoint.
     """
-    return _foot_geometry(_row(frame), side, ecop_fraction, up_axis)
-
-
-def _foot_geometry(row: list, side: Side, ecop_fraction: float, up_axis: str) -> FootGeometry:
-    if not 0.0 < ecop_fraction < 1.0:
-        raise ValueError("ecop_fraction must lie strictly between 0 and 1")
-    heel, mt1, mt5 = (_marker(row, label, up_axis) for label in FOOT_LABELS[side])
-
-    width = math.hypot(mt1.x - mt5.x, mt1.y - mt5.y)
-    mt_mid = Point2((mt1.x + mt5.x) / 2.0, (mt1.y + mt5.y) / 2.0)
-    length = math.hypot(mt_mid.x - heel.x, mt_mid.y - heel.y)
-    if width < MIN_FOOT_DIMENSION or length < MIN_FOOT_DIMENSION:
-        raise DegenerateFootError(
-            f"{side.value} foot dimensions collapse: length={length:.4g} m width={width:.4g} m"
-        )
-    ecop = Point2(
-        heel.x + ecop_fraction * (mt_mid.x - heel.x),
-        heel.y + ecop_fraction * (mt_mid.y - heel.y),
-    )
-    return FootGeometry(heel=heel, mt_mid=mt_mid, length=length, width=width,
-                        ecop=ecop, side=side)
+    xs, ys = _ground(np.array([_row(frame)], dtype=float), ecop_fraction, up_axis)
+    foot, fault = _foot_arrays(xs, ys, side, ecop_fraction)
+    raise_first_fault(_FEET_FAULTS, fault, **foot)
+    v = {name: column.item() for name, column in foot.items()}
+    heel, mt_mid, ecop = (Point2(v[f"{p}_x"], v[f"{p}_y"]) for p in ("heel", "mid", "ecop"))
+    return FootGeometry(heel, mt_mid, v["length"], v["width"], ecop, side)
 
 
 def foot_poses(
@@ -245,55 +237,27 @@ def foot_poses(
     up_axis: str = "z",
     anchor: str = "ecop",
 ) -> tuple[FootPose, FootPose]:
-    """Build the (left, right) stance pair from one marker frame.
+    """Build the (left, right) stance pair from one marker frame: the
+    :func:`foot_poses_at` of a one-row trial."""
+    return foot_poses_at(MarkerTrial.from_frames([frame]), 0, ecop_fraction, up_axis, anchor)
+
+
+def foot_poses_at(
+    trial: MarkerTrial, i: int, ecop_fraction: float = 0.5, up_axis: str = "z", anchor: str = "ecop"
+) -> tuple[FootPose, FootPose]:
+    """Build the (left, right) stance pair from row ``i`` of a trial.
 
     ``anchor`` selects what the stance frame is hung on: ``"ecop"`` uses the
     heel-fraction point, ``"mt-mid"`` uses the metatarsal midpoints directly.
     Each foot's orientation is the clockwise angle from the right-to-left
     anchor line to its heel-to-toe axis.
     """
-    return _foot_poses(_row(frame), ecop_fraction, up_axis, anchor)
-
-
-def foot_poses_at(
-    trial: MarkerTrial, i: int, ecop_fraction: float = 0.5, up_axis: str = "z", anchor: str = "ecop"
-) -> tuple[FootPose, FootPose]:
-    """``foot_poses(trial[i], ...)``, read from the trial's arrays without a MarkerFrame."""
-    return _foot_poses(trial.xyz[i].tolist(), ecop_fraction, up_axis, anchor)
-
-
-def _foot_poses(
-    row: list, ecop_fraction: float, up_axis: str, anchor: str
-) -> tuple[FootPose, FootPose]:
-    if anchor not in ("ecop", "mt-mid"):
-        raise ValueError(f"anchor must be 'ecop' or 'mt-mid', got {anchor!r}")
-    left_geo = _foot_geometry(row, Side.LEFT, ecop_fraction, up_axis)
-    right_geo = _foot_geometry(row, Side.RIGHT, ecop_fraction, up_axis)
-
-    def anchor_point(geo: FootGeometry) -> Point2:
-        return geo.mt_mid if anchor == "mt-mid" else geo.ecop
-
-    la = anchor_point(left_geo)
-    ra = anchor_point(right_geo)
-    dx, dy = la.x - ra.x, la.y - ra.y
-    if math.hypot(dx, dy) <= 1e-9:
-        raise CoincidentFeetError("foot anchors coincide; stance line is undefined")
-    line_angle = math.atan2(dy, dx)
-
-    poses = []
-    for geo, anchor_pt in ((left_geo, la), (right_geo, ra)):
-        axis_angle = math.atan2(geo.mt_mid.y - geo.heel.y, geo.mt_mid.x - geo.heel.x)
-        orientation = wrap_positive(line_angle - axis_angle)
-        poses.append(
-            FootPose(
-                ecop=anchor_pt,
-                orientation=orientation,
-                length=geo.length,
-                width=geo.width,
-                side=geo.side,
-            )
-        )
-    return poses[0], poses[1]
+    poses, fault, values = _feet_arrays(trial.xyz[i][None], ecop_fraction, up_axis, anchor)
+    raise_first_fault(_FEET_FAULTS, fault, **values)
+    return tuple(
+        FootPose(Point2(x.item(), y.item()), orientation.item(), length.item(), width.item(), side)
+        for side, (x, y, orientation, length, width) in zip(Side, poses)
+    )
 
 
 def stance_table(
@@ -306,66 +270,83 @@ def stance_table(
     """The (m, 12) stance table (see :func:`geometry.stance_rows`) of the
     trial rows ``rows``, for :func:`geometry.classify_task_segments`.
 
-    Row k equals, bit for bit, ``stance_rows`` of row ``rows[k]``'s frame and
-    boundary built through :func:`foot_poses_at`,
-    :func:`geometry.saddle_frame_from_ecops`, :func:`geometry.derive_bos_params`
-    and :class:`geometry.BosBoundary`, but every stance comes from one array
-    pass: marker rows to feet arrays here, feet to frame, shape parameters and
-    boundary in :func:`geometry.stance_rows_from_feet`.  When that object path
-    would reject some stance, it is re-run on the first such row, in ``rows``
-    order, to raise the exception it raises there.
+    Every stance comes from one array pass: marker rows to feet here, feet
+    to frame and boundary in :func:`geometry.stance_rows_from_feet`.
+    :func:`foot_poses_at` and the scalar geometry calls run the same stages
+    on one row, so row k is bit for bit theirs for row ``rows[k]``, and the
+    first row they reject, in ``rows`` order, raises their exception.
     """
     rows = np.asarray(rows, dtype=np.intp)
-    # a bad argument fails every stance
-    table, rejected = np.empty((len(rows), 12)), np.ones(len(rows), dtype=bool)
-    if anchor in ("ecop", "mt-mid") and 0.0 < ecop_fraction < 1.0 and up_axis in _GROUND_AXES:
-        (left, right), feet_rejected = _feet_arrays(trial.xyz[rows], ecop_fraction, up_axis, anchor)
-        table, rejected = stance_rows_from_feet(left, right)
-        rejected |= feet_rejected
-    if rejected.any():
-        i = int(rows[rejected.argmax()])
-        left, right = foot_poses_at(trial, i, ecop_fraction, up_axis, anchor)
-        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        BosBoundary(derive_bos_params(frame, left, right), frame)
-        raise RuntimeError(f"stance_table rejected trial row {i}, which the object path accepts")
+    poses, fault, values = _feet_arrays(trial.xyz[rows], ecop_fraction, up_axis, anchor)
+    # the rows before the first feet fault, whose own faults come first
+    n = int((fault != 0).argmax()) if fault.any() else len(rows)
+    table = stance_rows_from_feet(*(
+        # FootPose wraps an orientation a second time
+        np.column_stack((x, y, wrap_positive(orientation), length, width))[:n]
+        for x, y, orientation, length, width in poses
+    ))
+    raise_first_fault(_FEET_FAULTS, fault, **values)
     return table
 
 
-def _feet_arrays(
-    xyz: np.ndarray, ecop_fraction: float, up_axis: str, anchor: str
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """``_foot_poses`` over (m, 10, 3) marker rows: the (m, 5) left and right
-    FootPose columns (anchor x and y, orientation, length, width) and the (m,)
-    mask of rows it would reject."""
-    i, j = _GROUND_AXES[up_axis]
-    xs, ys = xyz[:, :, i], xyz[:, :, j]
-    foot_markers = [MARKER_LABELS.index(label) for side in Side for label in FOOT_LABELS[side]]
-    rejected = np.isnan(xs[:, foot_markers]).any(axis=1)
-    feet = []
+def _ground(xyz: np.ndarray, ecop_fraction: float, up_axis: str) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, 10) ground x and y of (m, 10, 3) marker rows, once the foot
+    arguments have been checked."""
+    if not 0.0 < ecop_fraction < 1.0:
+        raise ValueError("ecop_fraction must lie strictly between 0 and 1")
+    i, j = _ground_axes(up_axis)
+    return xyz[:, :, i], xyz[:, :, j]
+
+
+def _foot_arrays(xs: np.ndarray, ys: np.ndarray, side: Side, ecop_fraction: float) -> tuple:
+    """:func:`foot_geometry` of m rows of ground x and y: a dict of the heel,
+    metatarsal midpoint, length, width, eCoP, heel-to-toe axis angle, side and
+    first missing label columns, and fault codes in ``_FEET_FAULTS``."""
+    heel, mt1, mt5 = columns = [MARKER_LABELS.index(label) for label in FOOT_LABELS[side]]
+    absent = np.isnan(xs[:, columns])
     with np.errstate(all="ignore"):
-        for side in Side:
-            heel, mt1, mt5 = (MARKER_LABELS.index(label) for label in FOOT_LABELS[side])
-            hx, hy = xs[:, heel], ys[:, heel]
-            width = math_hypot(xs[:, mt1] - xs[:, mt5], ys[:, mt1] - ys[:, mt5])
-            mid_x, mid_y = (xs[:, mt1] + xs[:, mt5]) / 2.0, (ys[:, mt1] + ys[:, mt5]) / 2.0
-            length = math_hypot(mid_x - hx, mid_y - hy)
-            ecop_x = hx + ecop_fraction * (mid_x - hx)
-            ecop_y = hy + ecop_fraction * (mid_y - hy)
-            rejected |= ~(np.isfinite(mid_x) & np.isfinite(mid_y))
-            rejected |= (width < MIN_FOOT_DIMENSION) | (length < MIN_FOOT_DIMENSION)
-            rejected |= ~(np.isfinite(ecop_x) & np.isfinite(ecop_y))
-            anchor_pt = (mid_x, mid_y) if anchor == "mt-mid" else (ecop_x, ecop_y)
-            feet.append((*anchor_pt, math_atan2(mid_y - hy, mid_x - hx), length, width))
-        (lx, ly, *_), (rx, ry, *_) = feet
+        hx, hy = xs[:, heel], ys[:, heel]
+        width = math_hypot(xs[:, mt1] - xs[:, mt5], ys[:, mt1] - ys[:, mt5])
+        mid_x, mid_y = (xs[:, mt1] + xs[:, mt5]) / 2.0, (ys[:, mt1] + ys[:, mt5]) / 2.0
+        length = math_hypot(mid_x - hx, mid_y - hy)
+        ecop_x = hx + ecop_fraction * (mid_x - hx)
+        ecop_y = hy + ecop_fraction * (mid_y - hy)
+        axis = math_atan2(mid_y - hy, mid_x - hx)
+    fault = fault_codes(
+        1, absent.any(axis=1), ~(np.isfinite(mid_x) & np.isfinite(mid_y)),
+        (width < MIN_FOOT_DIMENSION) | (length < MIN_FOOT_DIMENSION),
+        np.isinf(length) | np.isinf(width),  # FootPose's rule
+        ~(np.isfinite(ecop_x) & np.isfinite(ecop_y)),
+    )
+    foot = dict(heel_x=hx, heel_y=hy, mid_x=mid_x, mid_y=mid_y, length=length, width=width,
+                ecop_x=ecop_x, ecop_y=ecop_y, axis=axis, side=np.full(len(xs), side.value),
+                missing=np.array(FOOT_LABELS[side])[absent.argmax(axis=1)])
+    return foot, fault
+
+
+def _feet_arrays(xyz: np.ndarray, ecop_fraction: float, up_axis: str, anchor: str) -> tuple:
+    """:func:`foot_poses_at` of (m, 10, 3) marker rows: the left and right
+    FootPose columns (anchor x and y, orientation wrapped once, length,
+    width), fault codes in ``_FEET_FAULTS``, and the foot at fault's values."""
+    if anchor not in ("ecop", "mt-mid"):
+        raise ValueError(f"anchor must be 'ecop' or 'mt-mid', got {anchor!r}")
+    xs, ys = _ground(xyz, ecop_fraction, up_axis)
+    feet = (_foot_arrays(xs, ys, side, ecop_fraction) for side in Side)
+    (left, left_fault), (right, right_fault) = feet
+    point = "mid" if anchor == "mt-mid" else "ecop"
+    (lx, ly), (rx, ry) = ((f[f"{point}_x"], f[f"{point}_y"]) for f in (left, right))
+    with np.errstate(all="ignore"):
         dx, dy = lx - rx, ly - ry
-        rejected |= math_hypot(dx, dy) <= 1e-9
+        coincident = math_hypot(dx, dy) <= 1e-9
         line_angle = math_atan2(dy, dx)
-        # wrapped twice, as _foot_poses and then FootPose do
         poses = tuple(
-            np.column_stack((x, y, wrap_positive(wrap_positive(line_angle - axis)), length, width))
-            for x, y, axis, length, width in feet
+            (x, y, wrap_positive(line_angle - foot["axis"]), foot["length"], foot["width"])
+            for x, y, foot in ((lx, ly, left), (rx, ry, right))
         )
-    return poses, rejected
+    anchors_fault = coincident * (len(_FEET_FAULTS) - 1)
+    fault = np.where(left_fault, left_fault, np.where(right_fault, right_fault, anchors_fault))
+    values = {name: np.where(left_fault != 0, left[name], right[name]) for name in left}
+    return poses, fault, values
 
 
 def com_trajectory(

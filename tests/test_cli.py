@@ -581,6 +581,19 @@ def test_validate_detects_cap_degenerate_posture(tmp_path, capsys):
     assert findings["n_failed_checks"] == 1
 
 
+def test_validate_records_an_overflowing_posture_and_goes_on(tmp_path, capsys):
+    bad = tmp_path / "overflow.json"
+    bad.write_text(OVERFLOW_POSTURE)
+    assert main(["validate", "--random-postures", "0", "--posture-file", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    findings = json.loads(captured.out)
+    assert findings["n_postures"] == 7 and findings["n_failed_checks"] == 1
+    error, detail = OVERFLOW_MESSAGE.split(": ", 1)
+    construct = findings["findings"][-1]["checks"]["construct"]
+    assert construct["error"] == error and construct["detail"].startswith(detail)
+
+
 # --- config -----------------------------------------------------------------
 
 
@@ -657,6 +670,13 @@ HUGE_POSTURES = [
     ("ecop", '{"left": {"ecop": [0, 1' + "0" * 400 + '], "angle_deg": 90}, "right": ' + FOOT + "}",
      "left foot key 'ecop' is too large for a float"),
 ]
+# a finite foot whose cap radius squared overflows, and an infinite foot
+OVERFLOW_POSTURE = ('{"separation": 0.3, "left_angle_deg": 180, "right_angle_deg": 0, '
+                    '"foot_length": 1e200}')
+OVERFLOW_MESSAGE = "DegenerateGeometryError: boundary is too large: a cap radius squared overflows"
+INFINITE_POSTURE = ('{"separation": 0.3, "left_angle_deg": 90, "right_angle_deg": 90, '
+                    '"foot_length": Infinity}')
+INFINITE_MESSAGE = "ValueError: foot length and width must be finite"
 TOO_MANY_BINS = "n_bins must be at most 1000000, got 1000001"
 CONFIG_CORPUS = [
     ('{"contains_tol": 1e400}', "containment tol must be finite and at least 0, got inf"),
@@ -690,6 +710,10 @@ def corpus_argv(command, out, posture=None):
     *(pytest.param(cmd, text, None, [], msg, id=f"{cmd}-huge-{key}")
       for key, text, msg in HUGE_POSTURES for cmd in ("bos", "analyze")),
     pytest.param("analyze", None, HUGE_CONFIG, [], "config key 'k_sigma'", id="analyze-huge-k_sigma"),
+    *(pytest.param(cmd, OVERFLOW_POSTURE, None, [], OVERFLOW_MESSAGE, id=f"{cmd}-overflowing-foot")
+      for cmd in ("bos", "analyze")),
+    *(pytest.param(cmd, INFINITE_POSTURE, None, [], INFINITE_MESSAGE, id=f"{cmd}-infinite-foot")
+      for cmd in ("bos", "analyze", "validate")),
 ])
 def test_malformed_input_exits_2_and_writes_nothing(
     tmp_path, capsys, monkeypatch, command, posture, config, flags, message

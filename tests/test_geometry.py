@@ -38,6 +38,7 @@ from saddlebos.geometry import (
 )
 from saddlebos.trial_io import random_postures
 
+import stance_reference as reference
 from helpers import parallel_posture, rotate_xy
 
 
@@ -486,6 +487,17 @@ def test_foot_pose_validation():
     assert foot.orientation == pytest.approx(1.5 * math.pi)
 
 
+@pytest.mark.parametrize("length, width, message", [
+    (math.inf, 0.10, "foot length and width must be finite"),
+    (0.25, math.inf, "foot length and width must be finite"),
+    (math.nan, 0.10, "foot length and width must be positive"),
+    (-math.inf, 0.10, "foot length and width must be positive"),
+])
+def test_foot_pose_rejects_non_finite_dimensions(length, width, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FootPose(Point2(0, 0), 0.0, length, width, Side.LEFT)
+
+
 def test_polygon_validation():
     with pytest.raises(ValueError):
         Polygon2(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -508,3 +520,69 @@ def test_task_point_survives_the_saddle_round_trip(origin, rotation, separation,
     frame = SaddleFrame(Point2(*origin), rotation, separation)
     q = to_task_space(frame, to_saddle_space(frame, Point2(*p)))
     assert math.hypot(q.x - p[0], q.y - p[1]) <= 1e-12
+
+
+# --- one stance implementation ------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+ORIENTATIONS = st.sampled_from([
+    0.0, -0.0, math.nextafter(0.0, -1.0), math.nextafter(0.0, 1.0), math.pi / 2, math.pi,
+    TWO_PI, math.nextafter(TWO_PI, 0.0), math.nextafter(TWO_PI, 7.0), -math.pi / 2,
+]) | st.floats(-7.0, 14.0) | st.floats(1.0, 2.2)  # the last: a forward-pointing foot
+OVERFLOW = "boundary is too large: a cap radius squared overflows a float"
+
+
+def scalar_stance_outcome(frame_of, params_of, shape_of, left, right):
+    """The frame, parameters, shape and stance row of two feet, as bytes, or
+    the error type and message."""
+    try:
+        frame = frame_of(right.ecop, left.ecop)
+        params = params_of(frame, left, right)
+        shape = shape_of(params, frame)
+    except Exception as exc:  # any error: the library must raise the reference's
+        return type(exc), str(exc)
+    row = (*frame.origin, math.cos(frame.rotation), math.sin(frame.rotation), *shape)
+    return np.array([*frame.origin, frame.rotation, frame.separation, *vars(params).values(),
+                     *shape, *row]).tobytes()
+
+
+def library_shape(params, frame):
+    return stance_rows([(frame, BosBoundary(params, frame))])[0, 4:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_scalar_stance_equals_the_reference_bit_for_bit(data):
+    kind = data.draw(st.sampled_from(["random"] * 4 + ["aligned", "narrow", "coincident", "huge"]))
+    scale = data.draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e9]))
+    x, y = (data.draw(st.floats(-scale, scale)) for _ in range(2))
+    direction = data.draw(st.floats(-4.0, 4.0))
+    separation = {
+        "narrow": data.draw(st.floats(0.0, 0.05)),
+        "coincident": data.draw(st.sampled_from([0.0, 1e-10, 1e-9, 2e-9])),
+    }.get(kind, data.draw(st.floats(0.05, 1.0)))
+    lengths, widths = [
+        [data.draw(st.floats(lo, hi)) for _ in range(2)] for lo, hi in ((0.05, 0.4), (0.03, 0.15))
+    ]
+    orientations = [data.draw(ORIENTATIONS) for _ in range(2)]
+    if kind == "aligned":  # identical margins: no edge slope
+        orientations = [data.draw(st.sampled_from([0.0, math.pi, TWO_PI]))] * 2
+        lengths, widths = lengths[:1] * 2, widths[:1] * 2
+    elif kind == "narrow":
+        lengths = [data.draw(st.floats(0.2, 0.4))] * 2
+    elif kind == "huge":  # a cap radius squared may overflow
+        lengths = [data.draw(st.sampled_from([1e150, 1e154, 1e155, 1e200, 1e300])) for _ in range(2)]
+    left = FootPose(Point2(x, y), orientations[0], lengths[0], widths[0], Side.LEFT)
+    right = FootPose(
+        Point2(x - separation * math.cos(direction), y - separation * math.sin(direction)),
+        orientations[1], lengths[1], widths[1], Side.RIGHT,
+    )
+    want = scalar_stance_outcome(
+        reference.saddle_frame_from_ecops, reference.derive_bos_params,
+        lambda params, frame: reference.continuous_shape(params), left, right,
+    )
+    if want[0] is OverflowError:  # the reference's traceback is now a one-line error
+        want = (DegenerateGeometryError, OVERFLOW)
+    assert scalar_stance_outcome(
+        saddle_frame_from_ecops, derive_bos_params, library_shape, left, right
+    ) == want

@@ -21,8 +21,7 @@ from saddlebos import (
     parse_trial_csv,
     saddle_frame_from_ecops,
 )
-from saddlebos import markers
-from saddlebos.geometry import stance_rows
+from saddlebos import geometry, markers
 from saddlebos.markers import (
     FOOT_LABELS,
     MARKER_LABELS,
@@ -32,6 +31,7 @@ from saddlebos.markers import (
     stance_table,
 )
 
+import stance_reference as reference
 from helpers import TRIAL_CSV, move_markers, parallel_marker_frame, rotate_xy
 
 
@@ -347,6 +347,16 @@ def stance_outcome(call):
     ]
 
 
+def geometry_outcome(call):
+    """A FootGeometry with every float as hex, or the error type and message."""
+    try:
+        g = call()
+    except Exception as exc:  # any error: the two calls must raise the same one
+        return type(exc), str(exc)
+    points = (g.heel.x, g.heel.y, g.mt_mid.x, g.mt_mid.y, g.ecop.x, g.ecop.y)
+    return g.side, g.length.hex(), g.width.hex(), [v.hex() for v in points]
+
+
 STANCE_FAULTS = (None, "narrow-left", "short-right", "coincident", "missing")
 
 
@@ -376,8 +386,15 @@ def test_foot_poses_at_equals_foot_poses_of_the_row_bit_for_bit(fault, data):
     )
     got = stance_outcome(lambda: foot_poses_at(trial, i, **kwargs))
     assert got == stance_outcome(lambda: foot_poses(trial[i], **kwargs))
+    row = trial.xyz[i].tolist()
+    assert got == stance_outcome(lambda: reference.foot_poses_of_row(row, **kwargs))
     if fault and i % 3 == 1 and 0.0 < kwargs["ecop_fraction"] < 1.0:
         assert isinstance(got, tuple), "the fault should have raised"
+    del kwargs["anchor"]
+    for side in Side:
+        assert geometry_outcome(lambda: foot_geometry(trial[i], side, **kwargs)) == geometry_outcome(
+            lambda: reference.foot_geometry_of_row(row, side, **kwargs)
+        )
 
 
 def stance_from_helpers(rng, time):
@@ -473,16 +490,6 @@ def marker_trial(kinds, us, up_axis, turn, offset):
     return MarkerTrial(np.arange(len(kinds)) / 100.0, xyz)
 
 
-def object_stance_rows(trial, rows, ecop_fraction, up_axis, anchor):
-    """The stance table of ``rows`` built one stance at a time from objects."""
-    pairs = []
-    for i in rows:
-        left, right = foot_poses_at(trial, i, ecop_fraction, up_axis, anchor)
-        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        pairs.append((frame, BosBoundary(derive_bos_params(frame, left, right), frame)))
-    return stance_rows(pairs)
-
-
 def table_outcome(call):
     """The table's bytes, or the error type and message."""
     try:
@@ -505,15 +512,28 @@ def test_stance_table_equals_the_object_path_bit_for_bit(data):
     turn = data.draw(st.sampled_from([0.0]) | st.floats(-4.0, 4.0))
     offset = data.draw(st.sampled_from([0.0, 1.0, -1e3, 1e6, -1e9]))
     trial = marker_trial(kinds, us, up_axis, turn, offset)
-    rows = data.draw(st.lists(st.integers(-n, n - 1), max_size=8))
+    # no rows is covered by test_stance_table_checks_its_arguments_without_rows
+    rows = data.draw(st.lists(st.integers(-n, n - 1), min_size=1, max_size=8))
     args = (
         data.draw(st.sampled_from([0.5, 0.0, 1.0, -0.25, 1.5]) | st.floats(0.0, 1.0)),
         up_axis,
         data.draw(st.sampled_from(["ecop", "mt-mid"])),
     )
     assert table_outcome(lambda: stance_table(trial, rows, *args)) == table_outcome(
-        lambda: object_stance_rows(trial, rows, *args)
+        lambda: reference.stance_table(trial, rows, *args)
     )
+
+
+def test_stance_table_checks_its_arguments_without_rows():
+    trial = marker_trial(["normal"], [[0.5] * 8], "z", 0.0, 0.0)
+    assert stance_table(trial, []).shape == (0, 12)
+    for kwargs, message in (
+        (dict(ecop_fraction=1.0), "ecop_fraction must lie strictly between 0 and 1"),
+        (dict(up_axis="w"), "up_axis must be one of 'x', 'y', 'z', got 'w'"),
+        (dict(anchor="heel"), "anchor must be 'ecop' or 'mt-mid', got 'heel'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            stance_table(trial, [], **kwargs)
 
 
 @pytest.mark.parametrize("kind, error, message", [
@@ -532,15 +552,58 @@ def test_stance_table_raises_for_the_first_failing_row(kind, error, message, up_
         with pytest.raises(error, match=message):
             stance_table(trial, [0, 2, 1, 3], 0.5, up_axis, anchor)
         with pytest.raises(error, match=message):
-            object_stance_rows(trial, [1], 0.5, up_axis, anchor)
+            reference.stance_table(trial, [1], 0.5, up_axis, anchor)
         assert stance_table(trial, [2, 0], 0.5, up_axis, anchor).shape == (2, 12)
 
 
-def test_stance_table_never_continues_past_a_rejection_it_cannot_explain(monkeypatch):
-    trial = marker_trial(["normal"] * 3, [[0.5] * 8] * 3, "z", 0.0, 0.0)
-    real = markers.stance_rows_from_feet
-    monkeypatch.setattr(
-        markers, "stance_rows_from_feet", lambda left, right: (real(left, right)[0], np.arange(3) == 1)
-    )
-    with pytest.raises(RuntimeError, match="rejected trial row 1, which the object path accepts"):
-        stance_table(trial, range(3))
+def test_stance_table_reads_an_infinite_foot_width_as_foot_pose_does():
+    trial = marker_trial(["normal"] * 2, [[0.5] * 8] * 2, "z", 0.0, 0.0)
+    xyz = trial.xyz.copy()
+    xyz[1, MARKER_LABELS.index("RMT1"), 0] = 1e308
+    xyz[1, MARKER_LABELS.index("RMT5"), 0] = -1e308
+    trial = MarkerTrial(trial.times, xyz)
+    for call in (lambda: stance_table(trial, [0, 1]), lambda: foot_poses_at(trial, 1)):
+        with pytest.raises(ValueError, match="^foot length and width must be finite$"):
+            call()
+
+
+# --- one stance implementation ------------------------------------------------
+
+STAGES = (
+    (markers, "_foot_arrays"),
+    (geometry, "_frame_stage"),
+    (geometry, "_params_stage"),
+    (geometry, "_shape_stage"),
+)
+
+
+@pytest.mark.parametrize("module, stage", STAGES, ids=[name for _, name in STAGES])
+def test_every_stance_call_runs_the_array_stages(monkeypatch, module, stage):
+    trial = marker_trial(["normal"] * 2, [[0.5] * 8] * 2, "z", 0.0, 0.0)
+    left, right = foot_poses_at(trial, 0)
+    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+    params = derive_bos_params(frame, left, right)
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args, **kwargs):
+        raise Reached
+
+    monkeypatch.setattr(module, stage, reached)
+    calls = {
+        "_foot_arrays": {
+            "foot_geometry": lambda: foot_geometry(trial[0], Side.LEFT),
+            "foot_poses": lambda: foot_poses(trial[0]),
+            "foot_poses_at": lambda: foot_poses_at(trial, 1),
+        },
+        "_frame_stage": {
+            "saddle_frame_from_ecops": lambda: saddle_frame_from_ecops(right.ecop, left.ecop),
+        },
+        "_params_stage": {"derive_bos_params": lambda: derive_bos_params(frame, left, right)},
+        "_shape_stage": {"BosBoundary": lambda: BosBoundary(params, frame)},
+    }[stage]
+    calls["stance_table"] = lambda: stance_table(trial, [0, 1])
+    for call in calls.values():
+        with pytest.raises(Reached):
+            call()
