@@ -175,9 +175,8 @@ def cmd_bos(args, config: RunConfig) -> int:
 
 def _load_trial(args):
     trial = tio.parse_trial_csv(args.markers)
-    complete = trial.select(trial.complete)
     n_total = len(trial)
-    n_incomplete = n_total - len(complete)
+    n_incomplete = n_total - int(trial.complete.sum())
     if n_total == 0:
         raise DataQualityError("trial holds no frames")
     if n_incomplete / n_total > MAX_INCOMPLETE_FRACTION:
@@ -185,7 +184,7 @@ def _load_trial(args):
             f"{n_incomplete} of {n_total} frames are incomplete "
             f"(limit is {MAX_INCOMPLETE_FRACTION:.0%})"
         )
-    return complete, n_incomplete
+    return (trial.select(trial.complete) if n_incomplete else trial), n_incomplete
 
 
 def cmd_analyze(args, config: RunConfig) -> int:
@@ -226,9 +225,8 @@ def cmd_analyze(args, config: RunConfig) -> int:
     else:
         _emit_json(tio.report_to_dict(report), None)
     if args.saddle_com_out:
-        lines = ["x,y"] + [f"{tio.round12(x):.12g},{tio.round12(y):.12g}" for x, y in saddle_pts]
         Path(args.saddle_com_out).write_text(
-            "\n".join(lines) + "\n", encoding="utf-8", newline="\n"
+            tio.xy_csv_text(saddle_pts), encoding="utf-8", newline="\n"
         )
     if n_incomplete:
         print(f"note: dropped {n_incomplete} incomplete frames", file=sys.stderr)
@@ -281,6 +279,10 @@ def cmd_sweep(args, config: RunConfig) -> int:
 # validate
 
 
+def _failed_check(exc: Exception) -> dict:
+    return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
+
+
 def cmd_validate(args, config: RunConfig) -> int:
     from . import oracle  # deferred: keeps analyze/bos startup light
 
@@ -295,11 +297,7 @@ def cmd_validate(args, config: RunConfig) -> int:
         try:
             boundary = posture.boundary()
         except SaddleBosError as exc:
-            entry["checks"]["construct"] = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
+            entry["checks"]["construct"] = _failed_check(exc)
             findings.append(entry)
             continue
 
@@ -328,10 +326,11 @@ def cmd_validate(args, config: RunConfig) -> int:
         equivariance = oracle.check_equivariance(
             posture.left, posture.right, n_motions=args.motions, seed=args.seed + i
         )
-        entry["checks"]["equivariance"] = {
-            "ok": equivariance.ok,
-            "max_deviation": tio.round12(equivariance.max_deviation),
-        }
+        entry["checks"]["equivariance"] = (
+            _failed_check(equivariance.error)
+            if equivariance.error is not None
+            else {"ok": equivariance.ok, "max_deviation": tio.round12(equivariance.max_deviation)}
+        )
         findings.append(entry)
 
     n_failed = sum(

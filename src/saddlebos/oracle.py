@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import SaddleBosError
 from .geometry import (
     TWO_PI,
     BosBoundary,
@@ -66,15 +67,16 @@ class AgreementReport:
 @dataclass(frozen=True)
 class EquivarianceReport:
     """Worst vertex deviation between moving the stance and moving the
-    polygon."""
+    polygon, or the error that rejected a moved stance."""
 
     n_motions: int
     max_deviation: float
     tol: float
+    error: SaddleBosError | ValueError | None = None
 
     @property
     def ok(self) -> bool:
-        return self.max_deviation <= self.tol
+        return self.error is None and self.max_deviation <= self.tol
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +289,8 @@ def check_equivariance(
 ) -> EquivarianceReport:
     """Verify that rigid task-space motions commute with the boundary
     pipeline: moving the feet then building the polygon matches building
-    the polygon then moving it."""
+    the polygon then moving it.  A moved stance the pipeline rejects fails
+    the check with that error."""
     if n_motions < 1:
         raise ValueError(f"n_motions must be at least 1, got {n_motions}")
     rng = np.random.default_rng(seed)
@@ -296,8 +299,12 @@ def check_equivariance(
     for _ in range(n_motions):
         angle = rng.uniform(-math.pi, math.pi)
         shift = rng.uniform(-5.0, 5.0, size=2)
-        moved_left, moved_right = transform_posture(left, right, angle, Point2(*shift))
-        got = bos_polygon_task_space(moved_left, moved_right, n_vertices).vertices
+        try:
+            moved_left, moved_right = transform_posture(left, right, angle, Point2(*shift))
+            got = bos_polygon_task_space(moved_left, moved_right, n_vertices).vertices
+        except (SaddleBosError, ValueError) as exc:
+            # the pipeline rejects a rigidly moved copy of a stance it built
+            return EquivarianceReport(n_motions=n_motions, max_deviation=worst, tol=tol, error=exc)
         c, s = math.cos(angle), math.sin(angle)
         want_x = c * base[:, 0] - s * base[:, 1] + shift[0]
         want_y = s * base[:, 0] + c * base[:, 1] + shift[1]

@@ -11,7 +11,10 @@ all three of its cells are blank; a partially blank triple is rejected.
 Timestamps must be strictly increasing.  Blank lines are skipped, but the
 row numbers in errors still count them.
 
-A trial is read in one pass with numpy.  A file the fast path does not
+A trial is read in one pass with numpy.  The file is read once, its blank
+cells are filled with ``nan`` in one copy of it, made only when there are
+any, and ``loadtxt`` parses that buffer in place, so at most two copies of
+the file's bytes are alive at once.  A file the fast path does not
 recognise as plainly valid (other bytes than digits, ``.eE+-``, commas and
 ``\n``, blank lines, a blank time, ragged rows, a partial triple, a
 non-finite value, time not strictly increasing) is read again row by row,
@@ -28,6 +31,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,6 +63,8 @@ EXPECTED_COLUMNS = ("time",) + tuple(
 
 _HEADER_LINE = (",".join(EXPECTED_COLUMNS) + "\n").encode("ascii")
 _NUMBER_BYTES = b"0123456789.eE+-,\n"
+# what is left of a plainly valid file once the number bytes are removed
+_HEADER_LETTERS = _HEADER_LINE.translate(None, _NUMBER_BYTES)
 
 DEFAULT_FOOT_LENGTH = 0.25
 DEFAULT_FOOT_WIDTH = 0.10
@@ -71,38 +77,43 @@ DEFAULT_FOOT_WIDTH = 0.10
 def parse_trial_csv(path) -> MarkerTrial:
     """Read a wide-format marker trial.
 
-    Raises BadHeaderError, BadRowError, or NonMonotonicTimeError on
+    The file is read once; blank cells are filled in one copy of it, made
+    only when there are any, so at most two copies of its bytes are alive at
+    once.  Raises BadHeaderError, BadRowError, or NonMonotonicTimeError on
     malformed input; see the module docstring for the schema.
     """
-    with open(path, "rb") as fh:
-        trial = _read_columns(fh.read())
+    trial = _read_columns(path)
     return trial if trial is not None else _read_rows(path)
 
 
-def _read_columns(data: bytes) -> MarkerTrial | None:
-    """The trial in ``data`` if it is plainly valid, else None (never raises
+def _read_columns(path) -> MarkerTrial | None:
+    """The trial in ``path`` if it is plainly valid, else None (never raises
     on bad input: the row reader then finds and reports the fault)."""
-    if not data.startswith(_HEADER_LINE):
-        return None
-    body = data[len(_HEADER_LINE):]
-    if not body.endswith(b"\n"):
-        body += b"\n"
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # blank lines and blank times are searched for from the header's own
+    # newline, so a body that opens with either is caught too
+    newline = len(_HEADER_LINE) - 1
     if (
-        body.translate(None, _NUMBER_BYTES)
-        or body.startswith((b"\n", b","))
-        or b"\n\n" in body
-        or b"\n," in body
+        not data.startswith(_HEADER_LINE)
+        or len(data) == len(_HEADER_LINE)  # no rows
+        or data.translate(None, _NUMBER_BYTES) != _HEADER_LETTERS
+        or data.find(b"\n\n", newline) >= 0
+        or data.find(b"\n,", newline) >= 0
     ):
         return None
-    # every blank cell becomes nan; two passes cover runs of blank cells
-    if b",," in body:
-        body = body.replace(b",,", b",nan,").replace(b",,", b",nan,")
-    if b",\n" in body:
-        body = body.replace(b",\n", b",nan\n")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    data = _fill_blank_cells(data)
+    # BytesIO shares the bytes rather than copying them; ``#`` is not in the
+    # byte alphabet, so loadtxt need not look for comments
+    body = io.BytesIO(data)
+    body.seek(len(_HEADER_LINE))
     try:
-        table = np.loadtxt(io.BytesIO(body), delimiter=",", ndmin=2)
+        table = np.loadtxt(body, delimiter=",", ndmin=2, comments=None)
     except ValueError:
         return None
+    del body, data  # before MarkerTrial copies the table
     if table.shape[1] != len(EXPECTED_COLUMNS):
         return None
     try:
@@ -110,6 +121,28 @@ def _read_columns(data: bytes) -> MarkerTrial | None:
     except ValueError:
         return None
     return None if (np.diff(trial.times) <= 0.0).any() else trial
+
+
+def _fill_blank_cells(data: bytes) -> bytes:
+    """``data`` with ``nan`` after every comma that ends a blank cell (one
+    followed by a comma or a newline); ``data`` itself when there is none."""
+    cuts = []
+    for pattern in (b",,", b",\n"):
+        at = data.find(pattern)
+        while at >= 0:
+            cuts.append(at + 1)
+            at = data.find(pattern, at + 1)
+    if not cuts:
+        return data
+    cuts.sort()
+    view = memoryview(data)
+    pieces = []
+    prev = 0
+    for cut in cuts:
+        pieces += (view[prev:cut], b"nan")
+        prev = cut
+    pieces.append(view[prev:])
+    return b"".join(pieces)
 
 
 def _read_rows(path) -> MarkerTrial:
@@ -384,6 +417,18 @@ def round12(value: float) -> float:
     return float(f"{value:.12g}")
 
 
+def xy_csv_text(points) -> str:
+    """``x,y`` CSV text of (n, 2) points, each value printed as
+    ``f"{round12(v):.12g}"``, in one formatting pass."""
+    values = np.asarray(points, dtype=np.float64).reshape(-1)
+    flat = values.tolist()
+    # a normal float prints as its round12 does; the 12 digits of a subnormal
+    # can read back as a neighbour that prints differently, so it is rounded
+    for i in np.flatnonzero((values != 0.0) & (np.abs(values) < sys.float_info.min)).tolist():
+        flat[i] = round12(flat[i])
+    return "x,y\n" + ("%.12g,%.12g\n" * (len(flat) // 2)) % tuple(flat)
+
+
 def export_polygon(polygon: Polygon2, path, fmt: str | None = None) -> None:
     """Write a polygon as CSV (``x,y`` rows) or JSON, 12 significant digits.
 
@@ -391,9 +436,7 @@ def export_polygon(polygon: Polygon2, path, fmt: str | None = None) -> None:
     """
     fmt = _resolve_format(path, fmt)
     if fmt == "csv":
-        lines = ["x,y"]
-        lines += [f"{round12(x):.12g},{round12(y):.12g}" for x, y in polygon.vertices]
-        text = "\n".join(lines) + "\n"
+        text = xy_csv_text(polygon.vertices)
     else:
         payload = {
             "vertices": [[round12(x), round12(y)] for x, y in polygon.vertices],

@@ -26,7 +26,7 @@ from saddlebos import (
 )
 from saddlebos.geometry import MAX_BOUNDARY_SAMPLES, saddle_array_from_task
 from saddlebos import trial_io
-from saddlebos.markers import MarkerFrame
+from saddlebos.markers import MarkerFrame, MarkerTrial
 from saddlebos.trial_io import report_to_dict, round12
 
 from helpers import TRIAL_CSV, complete_row, move_markers, parallel_marker_frame, trial_csv_text
@@ -208,6 +208,23 @@ def test_analyze_few_incomplete_frames_tolerated(tmp_path, capsys):
     report = json.loads(captured.out)
     assert report["n_samples"] == 19
     assert "dropped 1 incomplete" in captured.err
+
+
+def test_analyze_copies_the_trial_only_to_drop_frames(tmp_path, capsys, monkeypatch):
+    selected = []
+    select = MarkerTrial.select
+
+    def counting_select(self, mask):
+        selected.append(len(self))
+        return select(self, mask)
+
+    monkeypatch.setattr(MarkerTrial, "select", counting_select)
+    assert main(["analyze", "--markers", str(TRIAL_CSV)]) == 0
+    assert selected == [] and capsys.readouterr().err == ""
+    rows = wobble_rows(20)
+    rows[7]["RMT1"] = None
+    assert main(["analyze", "--markers", str(write_trial(tmp_path, rows))]) == 0
+    assert selected == [20] and "dropped 1 incomplete" in capsys.readouterr().err
 
 
 def test_analyze_missing_file_exit_2(tmp_path, capsys):
@@ -592,6 +609,31 @@ def test_validate_records_an_overflowing_posture_and_goes_on(tmp_path, capsys):
     error, detail = OVERFLOW_MESSAGE.split(": ", 1)
     construct = findings["findings"][-1]["checks"]["construct"]
     assert construct["error"] == error and construct["detail"].startswith(detail)
+
+
+FAR_POSTURE = ('{"left": {"ecop": [1e9, 1000000000.3], "angle_deg": 90}, '
+               '"right": {"ecop": [1e9, 1e9], "angle_deg": 90}}')
+
+
+def test_validate_records_a_far_posture_that_bos_accepts(tmp_path, capsys):
+    # a rigidly moved copy of the stance fails the feet-vs-frame check: that
+    # is a failed equivariance check, not an input error
+    far = tmp_path / "far.json"
+    far.write_text(FAR_POSTURE)
+    assert main(["bos", "--posture-file", str(far), "--out", str(tmp_path / "far.csv")]) == 0
+    capsys.readouterr()
+    assert main(["validate", "--random-postures", "0", "--posture-file", str(far)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    findings = json.loads(captured.out)
+    assert findings["n_postures"] == 7 and findings["n_failed_checks"] == 1
+    checks = findings["findings"][-1]["checks"]
+    assert checks["equivariance"] == {
+        "ok": False,
+        "error": "ValueError",
+        "detail": "left anchor does not match the frame it was paired with",
+    }
+    assert [name for name, check in checks.items() if not check["ok"]] == ["equivariance"]
 
 
 # --- config -----------------------------------------------------------------

@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from saddlebos import (
     BosBoundary,
     Containment,
+    FootPose,
     Point2,
     Polygon2,
+    Side,
     classify_saddle_points,
     posture_catalog,
     random_postures,
@@ -242,6 +244,19 @@ def test_counts_checked():
             check_containment_agreement(posture.boundary(), n_points=n)
         with pytest.raises(ValueError, match=f"n_motions must be at least 1, got {n}"):
             check_equivariance(posture.left, posture.right, n_motions=n)
+
+
+def test_equivariance_fails_when_a_moved_stance_is_rejected():
+    # anchors near 1e9 m: a moved copy's coordinates round by about 1e-7 m,
+    # past the feet-vs-frame bound of 1e-9 m
+    left = FootPose(Point2(1e9, 1000000000.3), math.radians(90), 0.25, 0.10, Side.LEFT)
+    right = FootPose(Point2(1e9, 1e9), math.radians(90), 0.25, 0.10, Side.RIGHT)
+    report = check_equivariance(left, right, n_motions=3)
+    assert not report.ok
+    assert type(report.error) is ValueError
+    assert str(report.error).endswith("anchor does not match the frame it was paired with")
+    posture = parallel_posture()
+    assert check_equivariance(posture.left, posture.right, n_motions=3).error is None
 
 
 def test_equivariance_catalog():

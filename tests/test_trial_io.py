@@ -1,6 +1,9 @@
 import json
 import math
 import random
+import struct
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from saddlebos import (
     read_report,
 )
 from saddlebos.markers import MarkerTrial
-from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin, _read_rows
+from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin, _read_rows, round12, xy_csv_text
 from saddlebos.geometry import _continuous_shape
 
 from helpers import TRIAL_CSV, complete_row, trial_csv_text
@@ -217,6 +220,18 @@ def number_cell(rng):
     return rng.choice(NUMBER_STYLES).format(value)
 
 
+def blank_markers(rng):
+    """Markers to blank in one row: none, a few anywhere, the first (LASI),
+    the last (RMT5, which ends the line), or a run of adjacent ones."""
+    kind = rng.choice(["none", "none", "some", "first", "last", "run"])
+    if kind == "some":
+        return rng.sample(range(10), rng.randint(1, 3))
+    if kind == "run":
+        first = rng.randint(0, 8)
+        return range(first, rng.randint(first + 2, 10))
+    return {"none": [], "first": [0], "last": [9]}[kind]
+
+
 @st.composite
 def trial_texts(draw):
     """Trial CSV text: a valid table, then up to three injected faults.
@@ -229,9 +244,11 @@ def trial_texts(draw):
     for t in times:
         row = [rng.choice(NUMBER_STYLES).format(t / 100)]
         row += [number_cell(rng) for _ in range(COLUMN_COUNT - 1)]
-        for k in rng.sample(range(10), rng.choice([0, 0, 1, 2, 3])):
+        for k in blank_markers(rng):
             row[1 + 3 * k : 4 + 3 * k] = ["", "", ""]
         rows.append(row)
+    if rows and draw(st.booleans()):
+        rows[-1][-3:] = ["", "", ""]  # the file's last cell is blank
     header = list(EXPECTED_COLUMNS)
     lines_before = {}
     widths = {}
@@ -286,6 +303,66 @@ def test_column_reader_agrees_with_row_reader(tmp_path, text):
         assert_same_trial(got, want)
 
 
+HEADER_TEXT = ",".join(EXPECTED_COLUMNS) + "\n"
+ROW_TEXT = trial_csv_text([complete_row(0.0)]).splitlines()[1]
+
+
+@pytest.mark.parametrize("text", [
+    HEADER_TEXT,  # header only
+    HEADER_TEXT + "," + ROW_TEXT.partition(",")[2] + "\n",  # the body opens with a blank time
+    HEADER_TEXT + "\n" + ROW_TEXT + "\n",  # the body opens with a blank line
+    HEADER_TEXT + ROW_TEXT,  # no final newline
+    HEADER_TEXT + ROW_TEXT.rpartition(",")[0] + ",",  # no final newline after a blank cell
+    HEADER_TEXT + ROW_TEXT.rsplit(",", 3)[0] + ",,,",  # RMT5 blank, no final newline
+], ids=["header-only", "blank-time-first", "blank-line-first", "no-newline",
+        "partial-last-no-newline", "blank-last-no-newline"])
+@pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
+def test_column_reader_agrees_with_row_reader_on_fixed_cases(tmp_path, text):
+    path = tmp_path / "trial.csv"
+    path.write_bytes(text.encode("ascii"))
+    got, got_error = outcome(parse_trial_csv, path)
+    want, want_error = outcome(reference_trial, path)
+    assert got_error == want_error
+    if want is not None:
+        assert_same_trial(got, want)
+
+
+def long_trial_text(n_rows, dropout, seed=0):
+    """A wide trial laid out like a recording: 12-digit pelvis coordinates,
+    short fixed foot coordinates, ``dropout`` of the rows missing a marker."""
+    rng = np.random.default_rng(seed)
+    pelvis = rng.uniform(-0.5, 1.0, (n_rows, 12))
+    feet = [0.225, 0.35, 0.02, 0.225, 0.05, 0.02, 0.475, 0.3, 0.01, 0.475, 0.4, 0.01,
+            0.475, 0.1, 0.01, 0.475, 0.0, 0.01]
+    line = "%.2f," + "%.12g," * 12 + ",".join(f"{v:g}" for v in feet) + "\n"
+    lines = [line % (k / 100, *pelvis[k]) for k in range(n_rows)]
+    for k in rng.choice(n_rows, round(dropout * n_rows), replace=False):
+        cells = lines[k].split(",")
+        marker = rng.integers(10)
+        cells[1 + 3 * marker : 4 + 3 * marker] = ["", "", ""]
+        lines[k] = ",".join(cells) + ("" if marker < 9 else "\n")
+    return HEADER_TEXT + "".join(lines)
+
+
+def test_column_reader_holds_one_copy(tmp_path, monkeypatch):
+    path = tmp_path / "long.csv"
+    path.write_text(long_trial_text(20_000, 0.01), encoding="ascii")
+    size = path.stat().st_size
+
+    def no_row_reader(path):
+        raise AssertionError(f"{path} fell back to the row reader")
+
+    monkeypatch.setattr("saddlebos.trial_io._read_rows", no_row_reader)
+    tracemalloc.start()
+    try:
+        trial = parse_trial_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trial) == 20_000 and int((~trial.complete).sum()) == 200
+    assert peak <= 2.2 * size, f"peak {peak} bytes for a {size}-byte file"
+
+
 # --- posture catalog -------------------------------------------------------------
 
 
@@ -338,6 +415,25 @@ def test_random_postures_count_checked():
 
 def square():
     return Polygon2(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]))
+
+
+# every 64-bit pattern is a float: NaN payloads, subnormals and both zeros too
+FLOAT_BITS = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+# 1.000000000003e-312 is a subnormal whose 12 digits, 1e-312, read back as a
+# float that prints as 9.99999999998e-313
+EDGE_FLOATS = st.sampled_from([
+    0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 1.000000000003e-312,
+    sys.float_info.min, -sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+    math.nextafter(sys.float_info.min, 1.0), sys.float_info.max, -sys.float_info.max,
+])
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats() | FLOAT_BITS | EDGE_FLOATS, max_size=40))
+def test_xy_csv_text_prints_each_value_as_round12(values):
+    points = np.array(values[: len(values) // 2 * 2], dtype=np.float64).reshape(-1, 2)
+    want = "x,y\n" + "".join(f"{round12(x):.12g},{round12(y):.12g}\n" for x, y in points)
+    assert xy_csv_text(points) == want
 
 
 def test_polygon_csv_has_header_and_rows(tmp_path):
