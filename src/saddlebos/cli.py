@@ -12,6 +12,9 @@ outputs use fixed float formatting so identical inputs yield byte-identical
 files.  Exit codes: 0 success, 1 validation failure, 2 input or geometry
 error, 3 data-quality failure.
 
+``validate`` checks its postures in up to as many processes as it has CPUs,
+forked from this one; its output does not depend on that number.
+
 The environment variable ``SADDLE_BOS_CONFIG`` may point to a JSON file with
 default settings; explicit flags win over it.  Each setting is resolved once,
 in :func:`main`, and the library validates the values it is given.
@@ -23,9 +26,11 @@ import argparse
 import json
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import NoReturn
 
 from . import markers as mk
 from . import metrics as mt
@@ -283,56 +288,137 @@ def _failed_check(exc: Exception) -> dict:
     return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
 
 
-def cmd_validate(args, config: RunConfig) -> int:
+def _check_posture(args, i: int, posture: tio.PostureSpec) -> dict:
+    """The findings for posture ``i``, whose random checks are seeded with
+    ``args.seed + i``."""
     from . import oracle  # deferred: keeps analyze/bos startup light
 
+    entry = {"posture": posture.name, "checks": {}}
+    try:
+        boundary = posture.boundary()
+    except SaddleBosError as exc:
+        entry["checks"]["construct"] = _failed_check(exc)
+        return entry
+
+    star = oracle.check_star_shape(boundary, n=args.rays)
+    entry["checks"]["star_shape"] = {
+        "ok": star.ok,
+        "n_rays": star.n_rays,
+        "violations": [
+            tio.round12(v) for v in star.violations[:8]
+        ],
+    }
+    convex = oracle.check_convexity(sample_boundary(boundary, args.rays))
+    entry["checks"]["convexity"] = {"ok": bool(convex)}
+    # the agreement polygon stays fine-grained regardless of --rays: a
+    # coarse polygon's chord error would swamp the disagreement bound
+    agreement = oracle.check_containment_agreement(
+        boundary,
+        n_points=args.points,
+        seed=args.seed + i,
+    )
+    entry["checks"]["containment_agreement"] = {
+        "ok": agreement.ok,
+        "agreement_pct": round(agreement.agreement_pct, 4),
+        "max_disagreement_distance": tio.round12(agreement.max_disagreement_distance),
+    }
+    equivariance = oracle.check_equivariance(
+        posture.left, posture.right, n_motions=args.motions, seed=args.seed + i
+    )
+    entry["checks"]["equivariance"] = (
+        _failed_check(equivariance.error)
+        if equivariance.error is not None
+        else {"ok": equivariance.ok, "max_deviation": tio.round12(equivariance.max_deviation)}
+    )
+    return entry
+
+
+def _check_block(args, postures: list, block: range) -> list[dict]:
+    return [_check_posture(args, i, postures[i]) for i in block]
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity API on this platform
+        return os.cpu_count() or 1
+
+
+def _check_block_in_child(args, postures: list, block: range, write_fd: int) -> NoReturn:
+    """Body of a forked child: check ``block`` and send its findings, or the
+    exception it hit, pickled through ``write_fd``.  It leaves by
+    ``os._exit`` whatever happens, so it never flushes the parent's buffers,
+    prints a traceback or runs the parent's cleanup; a result that cannot be
+    pickled is not sent."""
+    try:
+        try:
+            result = _check_block(args, postures, block)
+        except Exception as exc:
+            result = exc
+        with open(write_fd, "wb") as pipe:
+            pipe.write(pickle.dumps(result))
+    finally:
+        os._exit(0)
+
+
+def _check_postures(args, postures: list) -> list[dict]:
+    """Every posture's findings, in posture order, checked in up to one
+    process per usable CPU.
+
+    The postures are cut into contiguous blocks.  A forked child checks each
+    later block while this process checks the first; then the children's
+    results are read in order.  So the first error in posture order is the
+    one raised, as in one loop, and the findings do not depend on the number
+    of blocks.  A child that sends no readable result has its block checked
+    here instead.  Every child is reaped, and killed first if this process
+    stops before it has read the child's result.
+    """
+    from . import oracle  # noqa: F401  imported before the fork, so no child imports it again
+
+    n_blocks = min(_usable_cpus(), len(postures)) if hasattr(os, "fork") else 1
+    cuts = [len(postures) * k // n_blocks for k in range(n_blocks + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    children = []  # (pid, read end of its pipe, block) of each unreaped child
+    try:
+        for block in blocks[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _check_block_in_child(args, postures, block, write_fd)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), block))
+        findings = _check_block(args, postures, blocks[0])
+        while children:
+            pid, pipe, block = children[0]
+            with pipe:
+                data = pipe.read()
+            os.waitpid(pid, 0)
+            del children[0]
+            try:
+                result = pickle.loads(data)
+            except (EOFError, pickle.UnpicklingError):  # the child sent no whole result
+                result = _check_block(args, postures, block)
+            if isinstance(result, Exception):
+                raise result
+            findings += result
+        return findings
+    finally:
+        if children:  # this process stopped before it read every result
+            import signal
+
+            for pid, pipe, _ in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def cmd_validate(args, config: RunConfig) -> int:
     postures = tio.posture_catalog()
     postures += tio.random_postures(args.random_postures, seed=args.seed)
     if args.posture_file:
         postures += tio.load_postures(args.posture_file)
 
-    findings = []
-    for i, posture in enumerate(postures):
-        entry = {"posture": posture.name, "checks": {}}
-        try:
-            boundary = posture.boundary()
-        except SaddleBosError as exc:
-            entry["checks"]["construct"] = _failed_check(exc)
-            findings.append(entry)
-            continue
-
-        star = oracle.check_star_shape(boundary, n=args.rays)
-        entry["checks"]["star_shape"] = {
-            "ok": star.ok,
-            "n_rays": star.n_rays,
-            "violations": [
-                tio.round12(v) for v in star.violations[:8]
-            ],
-        }
-        convex = oracle.check_convexity(sample_boundary(boundary, args.rays))
-        entry["checks"]["convexity"] = {"ok": bool(convex)}
-        # the agreement polygon stays fine-grained regardless of --rays: a
-        # coarse polygon's chord error would swamp the disagreement bound
-        agreement = oracle.check_containment_agreement(
-            boundary,
-            n_points=args.points,
-            seed=args.seed + i,
-        )
-        entry["checks"]["containment_agreement"] = {
-            "ok": agreement.ok,
-            "agreement_pct": round(agreement.agreement_pct, 4),
-            "max_disagreement_distance": tio.round12(agreement.max_disagreement_distance),
-        }
-        equivariance = oracle.check_equivariance(
-            posture.left, posture.right, n_motions=args.motions, seed=args.seed + i
-        )
-        entry["checks"]["equivariance"] = (
-            _failed_check(equivariance.error)
-            if equivariance.error is not None
-            else {"ok": equivariance.ok, "max_deviation": tio.round12(equivariance.max_deviation)}
-        )
-        findings.append(entry)
-
+    findings = _check_postures(args, postures)
     n_failed = sum(
         1 for entry in findings for check in entry["checks"].values() if not check["ok"]
     )

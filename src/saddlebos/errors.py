@@ -1,8 +1,18 @@
 """Exception types raised by the saddlebos package."""
 
+import copyreg
+
 
 class SaddleBosError(Exception):
-    """Base class for all saddlebos-specific errors."""
+    """Base class for all saddlebos-specific errors.
+
+    Every subclass survives pickling with its type, message and attributes.
+    """
+
+    def __reduce__(self):
+        # rebuilt through __new__, not __init__: a subclass's __init__ formats
+        # its message from arguments that ``args`` no longer holds
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class CoincidentFeetError(SaddleBosError):

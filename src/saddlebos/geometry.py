@@ -102,6 +102,13 @@ def math_hypot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _HYPOT(x, y).astype(float)
 
 
+def seeded_rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for ``seed``, which must be at least 0."""
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def _squares(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``x**2`` as Python rounds it, and the mask where that raises
     OverflowError (a finite square too large for a float)."""

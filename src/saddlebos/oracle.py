@@ -27,6 +27,7 @@ from .geometry import (
     bos_polygon_task_space,
     classify_saddle_points,
     sample_boundary,
+    seeded_rng,
     transform_posture,
 )
 
@@ -134,7 +135,7 @@ def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) ->
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(y2 != y1, abx / np.where(y2 != y1, aby, 1.0), 0.0)
 
-    order = np.argsort(py, kind="stable")
+    order = np.argsort(py)
     py_sorted = py[order]
     y_lo = np.minimum(y1, y2)
     y_hi = np.maximum(y1, y2)
@@ -260,7 +261,7 @@ def check_containment_agreement(
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     poly = sample_boundary(boundary, n_vertices)
     lo, hi = poly.bounding_box()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     points = rng.uniform((lo.x, lo.y), (hi.x, hi.y), size=(n_points, 2))
 
     radial = classify_saddle_points(boundary, points, tol)
@@ -293,7 +294,7 @@ def check_equivariance(
     the check with that error."""
     if n_motions < 1:
         raise ValueError(f"n_motions must be at least 1, got {n_motions}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     base = bos_polygon_task_space(left, right, n_vertices).vertices
     worst = 0.0
     for _ in range(n_motions):

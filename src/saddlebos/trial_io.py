@@ -53,6 +53,7 @@ from .geometry import (
     Side,
     derive_bos_params,
     saddle_frame_from_ecops,
+    seeded_rng,
 )
 from .markers import MARKER_LABELS, MarkerTrial
 from .metrics import CovarianceEllipse, MetricsReport
@@ -280,7 +281,7 @@ def random_postures(
     """
     if n < 0:
         raise ValueError(f"random posture count n must be at least 0, got {n}")
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed)
     out: list[PostureSpec] = []
     attempts = 0
     while len(out) < n:

@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import saddlebos
+from saddlebos import cli
 from saddlebos.cli import main
 from saddlebos import (
     BosBoundary,
@@ -561,6 +568,7 @@ def test_validate_passes_and_is_deterministic(capsys):
     (["--motions", "-1"], "n_motions must be at least 1, got -1"),
     (["--random-postures", "-1"], "random posture count n must be at least 0, got -1"),
     (["--rays", str(MAX_BOUNDARY_SAMPLES + 1)], f"got {MAX_BOUNDARY_SAMPLES + 1}"),
+    (["--seed", "-1"], "seed must be at least 0, got -1"),
 ])
 def test_validate_rejects_out_of_range_counts(capsys, flags, message):
     code = main(VALIDATE_FAST + flags)
@@ -634,6 +642,105 @@ def test_validate_records_a_far_posture_that_bos_accepts(tmp_path, capsys):
         "detail": "left anchor does not match the frame it was paired with",
     }
     assert [name for name, check in checks.items() if not check["ok"]] == ["equivariance"]
+
+
+# --- validate in several processes -------------------------------------------
+
+DEGENERATE_POSTURE = {"name": "degenerate", "separation": 0.30,
+                      "left_angle_deg": 0, "right_angle_deg": 0}
+# 90 deg + atan(0.25 / 0.10): the front and back edges pass through the
+# origin, and sampling the boundary raises
+ZERO_AREA_POSTURE = {"name": "zero-area", "separation": 0.30,
+                     "left_angle_deg": 158.19859051364818,
+                     "right_angle_deg": 158.19859051364818}
+
+
+def run_validate(monkeypatch, capsys, n_cpus, argv):
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: n_cpus)
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def posture_file(tmp_path, *postures):
+    path = tmp_path / "postures.json"
+    path.write_text(json.dumps(list(postures)), encoding="utf-8")
+    return str(path)
+
+
+def test_validate_findings_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
+    extra = posture_file(tmp_path, DEGENERATE_POSTURE, json.loads(FAR_POSTURE))
+    argv = VALIDATE_FAST + ["--posture-file", extra]
+    serial = run_validate(monkeypatch, capsys, 1, argv)
+    assert serial[0] == 1 and serial[2] == ""
+    findings = json.loads(serial[1])
+    assert findings["n_postures"] == 10 and findings["n_failed_checks"] == 2
+    for n_cpus in (2, 3):
+        assert run_validate(monkeypatch, capsys, n_cpus, argv) == serial
+        assert_no_child_left()
+
+
+def test_validate_reports_a_child_error_as_one_line(tmp_path, monkeypatch, capsys):
+    # seven postures on two CPUs: the child checks the last four
+    argv = ["validate", "--random-postures", "0", "--points", "2000",
+            "--posture-file", posture_file(tmp_path, ZERO_AREA_POSTURE)]
+    serial = run_validate(monkeypatch, capsys, 1, argv)
+    assert_one_line_input_error(serial[0], serial[2], "ValueError: consecutive polygon vertices coincide")
+    assert serial[1] == ""
+    assert run_validate(monkeypatch, capsys, 2, argv) == serial
+    assert_no_child_left()
+
+
+def test_validate_reaps_its_children_after_a_parent_error(monkeypatch, capsys):
+    code, out, err = run_validate(monkeypatch, capsys, 2, VALIDATE_FAST + ["--points", "0"])
+    assert_one_line_input_error(code, err, "n_points must be at least 1, got 0")
+    assert out == ""
+    assert_no_child_left()
+
+
+def test_validate_kills_its_children_when_interrupted(monkeypatch, capsys):
+    check = cli._check_posture
+
+    def interrupted_at_the_first(args, i, posture):
+        if i == 0:
+            raise KeyboardInterrupt
+        return check(args, i, posture)
+
+    monkeypatch.setattr(cli, "_check_posture", interrupted_at_the_first)
+    with pytest.raises(KeyboardInterrupt):
+        run_validate(monkeypatch, capsys, 2, ["validate"])
+    assert_no_child_left()
+
+
+def test_validate_checks_a_silent_childs_block_itself(monkeypatch, capsys):
+    serial = run_validate(monkeypatch, capsys, 1, VALIDATE_FAST)
+
+    def unpicklable(obj, *args, **kwargs):
+        raise pickle.PicklingError("no result")
+
+    # the children inherit the patch and send nothing
+    monkeypatch.setattr(pickle, "dumps", unpicklable)
+    assert run_validate(monkeypatch, capsys, 3, VALIDATE_FAST) == serial
+    assert_no_child_left()
+
+
+def test_validate_runs_in_process_without_fork(monkeypatch, capsys):
+    serial = run_validate(monkeypatch, capsys, 1, VALIDATE_FAST)
+    monkeypatch.delattr(os, "fork")
+    assert run_validate(monkeypatch, capsys, 2, VALIDATE_FAST) == serial
+
+
+def test_cli_imports_no_process_pool():
+    code = ("import sys, saddlebos.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(Path(saddlebos.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "[]\n"
 
 
 # --- config -----------------------------------------------------------------

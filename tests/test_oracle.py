@@ -129,6 +129,16 @@ def test_classify_points_matches_scalar():
         assert_matches_scalar(polygon, np.vstack((pts, probes)), name)
 
 
+def test_classify_points_matches_scalar_on_ties():
+    # every grid row shares one y and every vertex lies on its own edges, so
+    # the sort that orders the points by y meets long runs of equal keys
+    polygon = sample_boundary(posture_catalog()[2].boundary(), 720)
+    lo, hi = polygon.bounding_box()
+    xs, ys = np.meshgrid(np.linspace(lo.x, hi.x, 121), np.linspace(lo.y, hi.y, 121))
+    grid = np.column_stack((xs.ravel(), ys.ravel()))
+    assert_matches_scalar(polygon, np.vstack((grid, polygon.vertices)))
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     gaps=st.lists(st.floats(0.5, 1.0), min_size=4, max_size=30),
@@ -244,6 +254,17 @@ def test_counts_checked():
             check_containment_agreement(posture.boundary(), n_points=n)
         with pytest.raises(ValueError, match=f"n_motions must be at least 1, got {n}"):
             check_equivariance(posture.left, posture.right, n_motions=n)
+
+
+def test_negative_seed_is_named():
+    posture = parallel_posture()
+    message = "seed must be at least 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        check_containment_agreement(posture.boundary(), n_points=10, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        check_equivariance(posture.left, posture.right, n_motions=1, seed=-1)
+    with pytest.raises(ValueError, match=message):
+        random_postures(0, seed=-1)
 
 
 def test_equivariance_fails_when_a_moved_stance_is_rejected():
