@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,6 +67,8 @@ _HEADER_LINE = (",".join(EXPECTED_COLUMNS) + "\n").encode("ascii")
 _NUMBER_BYTES = b"0123456789.eE+-,\n"
 # what is left of a plainly valid file once the number bytes are removed
 _HEADER_LETTERS = _HEADER_LINE.translate(None, _NUMBER_BYTES)
+# a newline that opens a blank line or a row with a blank time
+_BLANK_LINE_OR_TIME = re.compile(rb"\n[\n,]")
 
 DEFAULT_FOOT_LENGTH = 0.25
 DEFAULT_FOOT_WIDTH = 0.10
@@ -99,8 +102,7 @@ def _read_columns(path) -> MarkerTrial | None:
         not data.startswith(_HEADER_LINE)
         or len(data) == len(_HEADER_LINE)  # no rows
         or data.translate(None, _NUMBER_BYTES) != _HEADER_LETTERS
-        or data.find(b"\n\n", newline) >= 0
-        or data.find(b"\n,", newline) >= 0
+        or _BLANK_LINE_OR_TIME.search(data, newline)
     ):
         return None
     if not data.endswith(b"\n"):
@@ -216,7 +218,8 @@ class PostureSpec:
         return derive_bos_params(self.frame(), self.left, self.right)
 
     def boundary(self) -> BosBoundary:
-        return BosBoundary(self.params(), self.frame())
+        frame = self.frame()
+        return BosBoundary(derive_bos_params(frame, self.left, self.right), frame)
 
 
 def posture_from_parameters(
@@ -298,14 +301,14 @@ def random_postures(
             boundary = posture.boundary()
         except DegenerateGeometryError:
             continue
-        if not _has_margin(posture, boundary.params, margin):
+        if not _has_margin(boundary, margin):
             continue
         out.append(posture)
     return out
 
 
-def _has_margin(posture: PostureSpec, params: BosParams, margin: float) -> bool:
-    sep = posture.frame().separation
+def _has_margin(boundary: BosBoundary, margin: float) -> bool:
+    params, sep = boundary.params, boundary.frame.separation
     return (
         params.reach_left - abs(params.span_left) >= margin
         and -params.reach_right - abs(params.span_right) >= margin

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import saddlebos
 from saddlebos import cli
@@ -36,7 +37,16 @@ from saddlebos import trial_io
 from saddlebos.markers import MarkerFrame, MarkerTrial
 from saddlebos.trial_io import report_to_dict, round12
 
-from helpers import TRIAL_CSV, complete_row, move_markers, parallel_marker_frame, trial_csv_text
+from helpers import (
+    TRIAL_CSV,
+    complete_row,
+    move_markers,
+    move_rows,
+    parallel_marker_frame,
+    rotate_xy,
+    sway_trial_rows,
+    trial_csv_text,
+)
 
 
 def write_trial(tmp_path, rows, name="trial.csv"):
@@ -444,6 +454,8 @@ def test_analyze_refit_stance_error_mid_trial(tmp_path, capsys, fault, message, 
 
 
 def test_analyze_refit_builds_objects_for_the_first_stance_only(tmp_path, capsys, monkeypatch):
+    # every stance is scored from the stance table; objects are built only
+    # to draw the first stance's polygon
     built = {}
     for cls in (FootPose, BosBoundary):
         def counted(self, original=cls.__post_init__, name=cls.__name__):
@@ -451,10 +463,65 @@ def test_analyze_refit_builds_objects_for_the_first_stance_only(tmp_path, capsys
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
+    for flags in ([], ["--refit-feet-every", "1"]):
+        assert main(["analyze", "--markers", str(TRIAL_CSV), *flags]) == 0, flags
+        assert built == {}, flags
+    static = analyze_outputs(tmp_path, TRIAL_CSV, "static")
+    assert built == {"FootPose": 2, "BosBoundary": 1}
+    built.clear()
     refit = analyze_outputs(tmp_path, TRIAL_CSV, "refit", "--refit-feet-every", "1")
     assert built == {"FootPose": 2, "BosBoundary": 1}
     monkeypatch.undo()
-    assert refit[1] == analyze_outputs(tmp_path, TRIAL_CSV, "static")[1]
+    assert refit[1] == static[1]
+
+
+def test_analyze_rejects_a_posture_file_as_bos_does(tmp_path, capsys):
+    posture = tmp_path / "posture.json"
+    posture.write_text('{"separation": 0.3, "left_angle_deg": 0, "right_angle_deg": 0}')
+    assert main(["bos", "--posture-file", str(posture), "--out", str(tmp_path / "bos.csv")]) == 2
+    bos_err = capsys.readouterr().err
+    assert bos_err == (
+        "DegenerateGeometryError: edge slopes are undefined: the feet contribute identical margins\n"
+    )
+    code = main(["analyze", "--markers", str(TRIAL_CSV), "--posture-file", str(posture)])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", bos_err)
+
+
+def analyze_report(tmp_path, trial, *flags):
+    path = tmp_path / "report.json"
+    assert main(["analyze", "--markers", str(trial), *flags, "--out", str(path)]) == 0
+    return json.loads(path.read_text(encoding="utf-8"))
+
+
+@settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300), data=st.data())
+def test_analyze_report_follows_a_rigid_motion_of_the_trial(tmp_path, capsys, seed, n, data):
+    """Frame independence, end to end.  Moving every marker of a trial by one
+    rigid ground-plane motion leaves PoI, PoI360, the outer-border size and
+    the ellipse's semi-axes as they were, moves the ellipse centre by the
+    motion and turns its orientation by the motion's angle (mod pi), for
+    static feet and for a refit every frame and every N frames.  No example
+    is skipped.  The semi-axes are compared within 1e-9 m, as the centre is:
+    the motion moves their last bits, and the report rounds them to 12
+    significant digits."""
+    angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
+    shift = [data.draw(st.floats(-5.0, 5.0), label="shift") for _ in range(2)]
+    every = data.draw(st.integers(2, n), label="every")
+    rows = sway_trial_rows(seed, n)
+    still_trial = write_trial(tmp_path, rows, "still.csv")
+    moved_trial = write_trial(tmp_path, move_rows(rows, angle, shift), "moved.csv")
+    for flags in ([], ["--refit-feet-every", "1"], ["--refit-feet-every", str(every)]):
+        still = analyze_report(tmp_path, still_trial, *flags)
+        moved = analyze_report(tmp_path, moved_trial, *flags)
+        for key in ("poi", "poi360", "n_samples", "n_outer"):
+            assert moved[key] == still[key], (key, flags)
+        before, after = still["covariance_ellipse"], moved["covariance_ellipse"]
+        assert after["semi_axes"] == pytest.approx(before["semi_axes"], rel=0, abs=1e-9)
+        want = np.add(rotate_xy(*before["center"], angle), shift)
+        assert math.dist(after["center"], want) <= 1e-9, flags
+        turn = (after["orientation_rad"] - before["orientation_rad"] - angle) % math.pi
+        assert min(turn, math.pi - turn) <= 1e-9, flags
 
 
 def test_analyze_uses_first_complete_frame_for_feet(tmp_path, capsys):
@@ -541,6 +608,25 @@ def test_sweep_deterministic(tmp_path, capsys):
             assert json.loads(f1.read_text()) == json.loads(f2.read_text())
         else:
             assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_each_posture_frame_is_built_once(tmp_path, capsys, monkeypatch):
+    frames, postures = [], []
+    for name, log in (("saddle_frame_from_ecops", frames), ("posture_from_parameters", postures)):
+        def logged(*args, real=getattr(trial_io, name), log=log):
+            log.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(trial_io, name, logged)
+    boundary = posture_catalog()[0].boundary()
+    assert (len(frames), boundary.frame) == (1, saddle_frame_from_ecops(*frames[0]))
+    frames.clear()
+    postures.clear()
+    trial_io.random_postures(5, seed=0)
+    assert len(frames) == len(postures) == 6  # one frame per candidate, the rejected one too
+    frames.clear()
+    assert main(["sweep", "--out", str(tmp_path / "results"), "--markers", str(TRIAL_CSV)]) == 0
+    assert len(frames) == len(posture_catalog())
 
 
 # --- validate ---------------------------------------------------------------

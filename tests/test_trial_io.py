@@ -314,8 +314,10 @@ ROW_TEXT = trial_csv_text([complete_row(0.0)]).splitlines()[1]
     HEADER_TEXT + ROW_TEXT,  # no final newline
     HEADER_TEXT + ROW_TEXT.rpartition(",")[0] + ",",  # no final newline after a blank cell
     HEADER_TEXT + ROW_TEXT.rsplit(",", 3)[0] + ",,,",  # RMT5 blank, no final newline
+    HEADER_TEXT + ROW_TEXT + "\n," + ROW_TEXT.partition(",")[2] + "\n",  # a later blank time
+    HEADER_TEXT + ROW_TEXT + "\n\n1.0," + ROW_TEXT.partition(",")[2] + "\n",  # a later blank line
 ], ids=["header-only", "blank-time-first", "blank-line-first", "no-newline",
-        "partial-last-no-newline", "blank-last-no-newline"])
+        "partial-last-no-newline", "blank-last-no-newline", "blank-time-later", "blank-line-later"])
 @pytest.mark.filterwarnings("error")  # a warning would reach the CLI's stderr
 def test_column_reader_agrees_with_row_reader_on_fixed_cases(tmp_path, text):
     path = tmp_path / "trial.csv"
@@ -399,7 +401,7 @@ def test_random_postures_deterministic_and_valid():
     assert len(a) == 25
     for pa, pb in zip(a, b):
         assert pa.left == pb.left and pa.right == pb.right
-        assert _has_margin(pa, pa.params(), 0.01)
+        assert _has_margin(pa.boundary(), 0.01)
     c = random_postures(5, seed=43)
     assert c[0].left != a[0].left
 
