@@ -40,14 +40,13 @@ from .geometry import (
     BosBoundary,
     BosParams,
     BoundaryMode,
-    bos_polygon_task_space,
     classify_saddle_points,  # noqa: F401  unused; perfbench's tracer test expects the binding
     classify_task_segments,
     derive_bos_params,
     saddle_frame_from_ecops,
     sample_boundary,
     polygon_to_task_space,
-    stance_rows_from_feet,
+    stance_rows,
 )
 
 CONFIG_ENV_VAR = "SADDLE_BOS_CONFIG"
@@ -200,25 +199,33 @@ def cmd_analyze(args, config: RunConfig) -> int:
         raise ValueError("--refit-feet-every cannot be combined with --posture-file")
     complete, n_incomplete = _load_trial(args)
     traj = mk.com_trajectory(complete, config.up_axis)
-    # contiguous segments, each scored against its own stance row; static feet
-    # and a fixed posture are one segment of every complete frame
+    posture = _single_posture(args.posture_file) if args.posture_file else None
+    # contiguous segments, each scored against its own stance; static feet and
+    # a fixed posture are one segment of every complete frame
     step = args.refit_feet_every or len(complete)
-    feet_args = config.ecop_fraction, config.up_axis, "mt-mid" if args.d_from_mt_mid else "ecop"
-    if args.posture_file:
-        posture = _single_posture(args.posture_file)
-        left, right = posture.left, posture.right
-        table = stance_rows_from_feet(*(
-            [[*foot.ecop, foot.orientation, foot.length, foot.width]] for foot in (left, right)
-        ))
+    anchor = "mt-mid" if args.d_from_mt_mid else "ecop"
+
+    # the first stance (the only one for static feet or a fixed posture) is
+    # built as objects, which also give the polygon; refit stances come from
+    # one array pass over the trial
+    if posture is None:
+        left, right = mk.foot_poses_at(complete, 0, config.ecop_fraction, config.up_axis, anchor)
     else:
-        table = mk.stance_table(complete, range(0, len(complete), step), *feet_args)
+        left, right = posture.left, posture.right
+    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+    boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+    if step < len(complete):
+        table = mk.stance_table(
+            complete, range(0, len(complete), step), config.ecop_fraction, config.up_axis, anchor
+        )
+    else:
+        table = stance_rows([(frame, boundary)])
     saddle_pts, codes = classify_task_segments(table, step, traj.points, config.contains_tol)
     report = mt.score_saddle_samples(traj, saddle_pts, codes, config.bins, config.k_sigma)
 
-    if args.polygon_out:  # the first stance, built as objects only to be drawn
-        if not args.posture_file:
-            left, right = mk.foot_poses_at(complete, 0, *feet_args)
-        tio.export_polygon(bos_polygon_task_space(left, right, config.samples), args.polygon_out)
+    if args.polygon_out:
+        polygon = polygon_to_task_space(frame, sample_boundary(boundary, config.samples))
+        tio.export_polygon(polygon, args.polygon_out)
     if args.out:
         tio.export_report(report, args.out)
     else:

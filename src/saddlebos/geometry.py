@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -563,9 +563,7 @@ def classify_saddle_points(
     """Vectorized containment codes for (n, 2) Saddle-space points: +1
     inside, 0 on the boundary (within ``tol``), -1 outside.  It shares its
     per-sample kernel with :func:`classify_task_segments`."""
-    if boundary.mode is not BoundaryMode.CONTINUOUS:
-        raise StrictModeUnsupportedError("containment needs the closed continuous boundary")
-    return _classify(boundary._shape, np.asarray(pts, dtype=float), tol)
+    return _classify(_continuous(boundary), np.asarray(pts, dtype=float), tol)
 
 
 def classify_task_segments(
@@ -576,7 +574,7 @@ def classify_task_segments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Saddle-space points and containment codes for (n, 2) task-space samples
     in consecutive segments of ``step`` samples, each in its own stance: row k
-    of the ``(ceil(n / step), 12)`` stance ``table`` (see :func:`stance_rows_from_feet`)
+    of the ``(ceil(n / step), 12)`` stance ``table`` (see :func:`stance_rows`)
     serves segment k.  Bit for bit :func:`saddle_array_from_task` then
     :func:`classify_saddle_points` per segment, from one call of each kernel."""
     task_pts = np.asarray(task_pts, dtype=float)
@@ -594,16 +592,26 @@ def classify_task_segments(
     return saddle_pts, _classify(_ContinuousShape(*cols[4:]), saddle_pts, tol)
 
 
+def stance_rows(stances: Iterable[tuple[SaddleFrame, BosBoundary]]) -> np.ndarray:
+    """The (m, 12) stance table of ``(frame, boundary)`` pairs for
+    :func:`classify_task_segments`.  Row k holds frame k's origin x and y, the
+    cosine and sine of its rotation, and boundary k's resolved continuous
+    shape: cap radii left and right, corner angles alpha and beta, and the
+    corners' ax, h_left, bx and h_right.  A strict-mode boundary is refused."""
+    rows = [
+        (frame.origin.x, frame.origin.y, math.cos(frame.rotation), math.sin(frame.rotation),
+         *_continuous(boundary))
+        for frame, boundary in stances
+    ]
+    return np.array(rows, dtype=float).reshape(len(rows), 12)
+
+
 def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """The (m, 12) stance table of m stances given as (m, 5) arrays of left
-    and right feet, each row the anchor x and y, orientation, length and width
-    of a :class:`FootPose`, for :func:`classify_task_segments`.  Row k holds
-    frame k's origin x and y, the cosine and sine of its rotation, and its
-    resolved continuous shape: cap radii left and right, corner angles alpha
-    and beta, and the corners' ax, h_left, bx and h_right.  The rows come from
-    the stages that :func:`saddle_frame_from_ecops`, :func:`derive_bos_params`
-    and :class:`BosBoundary` run on one stance, so each row is theirs bit for
-    bit and the first stance they reject raises."""
+    """:func:`stance_rows` for m stances given as (m, 5) arrays of left and
+    right feet, each row the anchor x and y, orientation, length and width of
+    a :class:`FootPose`: the stages that :func:`saddle_frame_from_ecops`,
+    :func:`derive_bos_params` and :class:`BosBoundary` run on one stance, so
+    each row is theirs bit for bit and the first stance they reject raises."""
     left, right = (np.asarray(f, dtype=float).reshape(-1, 5).T for f in (left, right))
     (ox, oy, rotation, separation), fault = _frame_stage(right[0], right[1], left[0], left[1])
     rotation = _wrap_signed_array(rotation)  # SaddleFrame's second wrap
@@ -613,6 +621,12 @@ def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
         fault = np.where(fault, fault, later)
     raise_first_fault(_STANCE_FAULTS, fault, separation=separation, origin_x=ox, origin_y=oy)
     return np.column_stack((ox, oy, np.cos(rotation), np.sin(rotation), *shape))
+
+
+def _continuous(boundary: BosBoundary) -> _ContinuousShape:
+    if boundary.mode is not BoundaryMode.CONTINUOUS:
+        raise StrictModeUnsupportedError("containment needs the closed continuous boundary")
+    return boundary._shape
 
 
 def _classify(shape: _ContinuousShape, pts: np.ndarray, tol: float) -> np.ndarray:

@@ -163,7 +163,7 @@ def foot_poses_of_row(row, ecop_fraction, up_axis, anchor):
 
 def stance_row(left, right):
     """The stance table row of two feet: frame, parameters and shape from
-    the functions above, laid out as ``geometry.stance_rows_from_feet`` lays it out."""
+    the functions above, laid out as ``geometry.stance_rows`` lays it out."""
     frame = saddle_frame_from_ecops(right.ecop, left.ecop)
     shape = continuous_shape(derive_bos_params(frame, left, right))
     return (frame.origin.x, frame.origin.y, math.cos(frame.rotation), math.sin(frame.rotation),

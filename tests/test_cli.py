@@ -454,8 +454,6 @@ def test_analyze_refit_stance_error_mid_trial(tmp_path, capsys, fault, message, 
 
 
 def test_analyze_refit_builds_objects_for_the_first_stance_only(tmp_path, capsys, monkeypatch):
-    # every stance is scored from the stance table; objects are built only
-    # to draw the first stance's polygon
     built = {}
     for cls in (FootPose, BosBoundary):
         def counted(self, original=cls.__post_init__, name=cls.__name__):
@@ -463,16 +461,10 @@ def test_analyze_refit_builds_objects_for_the_first_stance_only(tmp_path, capsys
             original(self)
 
         monkeypatch.setattr(cls, "__post_init__", counted)
-    for flags in ([], ["--refit-feet-every", "1"]):
-        assert main(["analyze", "--markers", str(TRIAL_CSV), *flags]) == 0, flags
-        assert built == {}, flags
-    static = analyze_outputs(tmp_path, TRIAL_CSV, "static")
-    assert built == {"FootPose": 2, "BosBoundary": 1}
-    built.clear()
     refit = analyze_outputs(tmp_path, TRIAL_CSV, "refit", "--refit-feet-every", "1")
     assert built == {"FootPose": 2, "BosBoundary": 1}
     monkeypatch.undo()
-    assert refit[1] == static[1]
+    assert refit[1] == analyze_outputs(tmp_path, TRIAL_CSV, "static")[1]
 
 
 def test_analyze_rejects_a_posture_file_as_bos_does(tmp_path, capsys):

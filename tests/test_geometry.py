@@ -33,7 +33,7 @@ from saddlebos.geometry import (
     classify_saddle_points,
     classify_task_segments,
     saddle_array_from_task,
-    stance_rows_from_feet,
+    stance_rows,
     task_array_from_saddle,
 )
 from saddlebos.trial_io import random_postures
@@ -339,13 +339,12 @@ def test_contains_tolerance_band():
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -1e-300])
 def test_containment_rejects_a_bad_tol(tol):
     posture = parallel_posture()
-    boundary = posture.boundary()
+    frame, boundary = posture.frame(), posture.boundary()
     message = "containment tol must be finite and at least 0"
     with pytest.raises(ValueError, match=message):
         classify_saddle_points(boundary, np.zeros((3, 2)), tol)
-    table = feet_table([(posture.left, posture.right)])
     with pytest.raises(ValueError, match=message):
-        classify_task_segments(table, 3, np.zeros((3, 2)), tol)
+        classify_task_segments(stance_rows([(frame, boundary)]), 3, np.zeros((3, 2)), tol)
     with pytest.raises(ValueError, match=message):
         contains(boundary, Point2(0, 0), tol)
     assert contains(boundary, Point2(0, 0.2), tol=0.0) is Containment.ON
@@ -361,23 +360,16 @@ def test_contains_strict_mode_refused():
 # --- per-segment classification ---------------------------------------------
 
 
-def moved_feet(seed, count):
-    """The (left, right) feet of ``count`` random non-degenerate stances, each
-    moved rigidly in task space."""
+def moved_stances(seed, count):
+    """``count`` random non-degenerate stances, each moved rigidly in task space."""
     rng = np.random.default_rng(seed)
-    feet = []
+    stances = []
     for posture in random_postures(count, seed=seed):
         shift = Point2(*rng.uniform(-2.0, 2.0, 2))
-        feet.append(transform_posture(posture.left, posture.right, rng.uniform(-4, 4), shift))
-    return feet
-
-
-def feet_table(feet):
-    """The stance table of (left, right) foot pairs, from the stance stages."""
-    return stance_rows_from_feet(*(
-        [[*foot.ecop, foot.orientation, foot.length, foot.width] for foot in side]
-        for side in zip(*feet)
-    ))
+        left, right = transform_posture(posture.left, posture.right, rng.uniform(-4, 4), shift)
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        stances.append((frame, BosBoundary(derive_bos_params(frame, left, right), frame)))
+    return stances
 
 
 def stance_task_points(frame, boundary, count, rng):
@@ -398,31 +390,36 @@ def stance_task_points(frame, boundary, count, rng):
 @example(seed=0, n=10)  # step 3 leaves a last segment of one sample
 def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
     step = step_of(n)
-    feet = moved_feet(seed, -(-n // step))
+    stances = moved_stances(seed, -(-n // step))
     rng = np.random.default_rng(seed)
     pts, want_saddle, want_codes = [], [], []
-    for k, (left, right) in enumerate(feet):  # the object path, one stance at a time
-        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+    for k, (frame, boundary) in enumerate(stances):
         seg = stance_task_points(frame, boundary, min(step, n - k * step), rng)
         pts.append(seg)
         want_saddle.append(saddle_array_from_task(frame, seg))
         want_codes.append(classify_saddle_points(boundary, want_saddle[-1]))
-    saddle, codes = classify_task_segments(feet_table(feet), step, np.concatenate(pts))
+    saddle, codes = classify_task_segments(stance_rows(iter(stances)), step, np.concatenate(pts))
     assert saddle.tobytes() == np.concatenate(want_saddle).tobytes()
     assert np.array_equal(codes, np.concatenate(want_codes))
     assert codes.dtype == np.int8
 
 
 def test_classify_task_segments_needs_one_stance_per_segment():
-    feet = moved_feet(1, 3)
+    stances = moved_stances(1, 3)
     pts = np.zeros((7, 2))
-    classify_task_segments(feet_table(feet), 3, pts)
-    for wrong in (feet[:2], feet + feet[:1]):
+    classify_task_segments(stance_rows(stances), 3, pts)
+    for wrong in (stances[:2], stances + stances[:1]):
         with pytest.raises(ValueError):
-            classify_task_segments(feet_table(wrong), 3, pts)
+            classify_task_segments(stance_rows(iter(wrong)), 3, pts)
     with pytest.raises(ValueError, match="step must be at least 1, got 0"):
-        classify_task_segments(feet_table(feet), 0, pts)
+        classify_task_segments(stance_rows(stances), 0, pts)
+
+
+def test_classify_task_segments_refuses_strict_mode():
+    posture = parallel_posture()
+    strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
+    with pytest.raises(StrictModeUnsupportedError):
+        classify_task_segments(stance_rows([(posture.frame(), strict)]), 5, np.zeros((5, 2)))
 
 
 def test_anchors_inside_for_catalog():
@@ -550,7 +547,7 @@ def scalar_stance_outcome(frame_of, params_of, shape_of, left, right):
 
 
 def library_shape(params, frame):
-    return BosBoundary(params, frame)._shape
+    return stance_rows([(frame, BosBoundary(params, frame))])[0, 4:]
 
 
 @settings(max_examples=400, deadline=None)
