@@ -401,6 +401,9 @@ _STANCE_FAULTS = (
     (DegenerateGeometryError,  # shape stage
      "cap half-extent reaches past the cap radius; boundary corners are not real"),
     (DegenerateGeometryError, "boundary is too large: a cap radius squared overflows a float"),
+    (DegenerateGeometryError,
+     f"front and back edges pass within {MIN_ANCHOR_SEPARATION:.0e} m of the stance origin: "
+     "the boundary has no area"),
 )
 
 
@@ -462,13 +465,17 @@ def _params_stage(ox, oy, rotation, separation, lx, ly, lo, ll, lw, rx, ry, ro, 
 
 def _shape_stage(reach_left, reach_right, span_left, span_right):
     """The resolved :class:`_ContinuousShape` of shape parameters, and fault
-    codes: the caps cannot close, or a cap radius squared overflows."""
+    codes: the caps cannot close, a cap radius squared overflows, or the front
+    and back edges pass within MIN_ANCHOR_SEPARATION of the origin."""
     ax, bx = np.abs(span_left), np.abs(span_right)
     with np.errstate(all="ignore"):
         squares, overflow = _squares(np.array([reach_left, ax, reach_right, bx]))
         left_sq, ax_sq, right_sq, bx_sq = squares
         h_left, h_right = np.sqrt(left_sq - ax_sq), np.sqrt(right_sq - bx_sq)
-    fault = fault_codes(7, (ax >= reach_left) | (bx >= np.abs(reach_right)), overflow.any(axis=0))
+        # the front edge's distance from the origin; the back edge mirrors it
+        edge_distance = (ax * h_right + bx * h_left) / math_hypot(ax - bx, h_left + h_right)
+    fault = fault_codes(7, (ax >= reach_left) | (bx >= np.abs(reach_right)), overflow.any(axis=0),
+                        ~(edge_distance > MIN_ANCHOR_SEPARATION))
     alpha, beta = math_atan2(np.array([h_left, h_right]), np.array([ax, bx]))
     return (reach_left, -reach_right, alpha, beta, ax, h_left, bx, h_right), fault
 

@@ -168,12 +168,12 @@ def _ray_crossing_counts(verts: np.ndarray, n_rays: int) -> np.ndarray:
     angles (j + 1/2) * 2pi/n_rays.
 
     Each edge is visible from the origin over an angular arc narrower than
-    pi, so its crossing set is an index range on the uniform ray grid; the
-    counts accumulate through a difference array.  Edges whose arc is
-    ill-defined (passing through or ending at the origin) fall back to an
-    explicit ray/segment intersection test.  Rays that pass exactly through
-    a vertex may be counted once per adjacent edge; the half-offset grid
-    avoids that for boundaries sampled on the aligned grid.
+    pi (a boundary keeps its edges more than 1e-9 m off the origin, or is
+    rejected when it is built), so its crossing set is an index range on the
+    uniform ray grid; the counts accumulate through a difference array.
+    Rays that pass exactly through a vertex may be counted once per adjacent
+    edge; the half-offset grid avoids that for boundaries sampled on the
+    aligned grid.
     """
     h = TWO_PI / n_rays
     p = verts
@@ -181,9 +181,6 @@ def _ray_crossing_counts(verts: np.ndarray, n_rays: int) -> np.ndarray:
     theta_p = np.arctan2(p[:, 1], p[:, 0])
     theta_q = np.arctan2(q[:, 1], q[:, 0])
     delta = np.mod(theta_q - theta_p + math.pi, TWO_PI) - math.pi
-    r_p = np.hypot(p[:, 0], p[:, 1])
-    r_q = np.hypot(q[:, 0], q[:, 1])
-    fallback = (np.abs(np.abs(delta) - math.pi) <= 1e-9) | (r_p <= 1e-12) | (r_q <= 1e-12)
 
     start_angle = np.where(delta >= 0.0, theta_p, theta_q)
     width = np.abs(delta)
@@ -192,24 +189,10 @@ def _ray_crossing_counts(verts: np.ndarray, n_rays: int) -> np.ndarray:
     j_stop = np.ceil((a0 + width) / h - 0.5).astype(int)
 
     diff = np.zeros(2 * n_rays + 1, dtype=int)
-    keep = ~fallback
-    np.add.at(diff, j_start[keep], 1)
-    np.add.at(diff, j_stop[keep], -1)
+    np.add.at(diff, j_start, 1)
+    np.add.at(diff, j_stop, -1)
     cum = np.cumsum(diff[:-1])
-    counts = cum[:n_rays] + cum[n_rays:]
-
-    if fallback.any():
-        phis = (np.arange(n_rays) + 0.5) * h
-        u = np.column_stack((np.cos(phis), np.sin(phis)))
-        for i in np.nonzero(fallback)[0]:
-            v = q[i] - p[i]
-            denom = u[:, 0] * v[1] - u[:, 1] * v[0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                t = (p[i, 0] * v[1] - p[i, 1] * v[0]) / denom
-                s = (p[i, 0] * u[:, 1] - p[i, 1] * u[:, 0]) / denom
-            hits = (denom != 0.0) & (t > 0.0) & (s >= 0.0) & (s < 1.0)
-            counts += hits.astype(int)
-    return counts
+    return cum[:n_rays] + cum[n_rays:]
 
 
 def check_star_shape(boundary: BosBoundary, n: int = 3600) -> StarShapeReport:

@@ -93,6 +93,27 @@ def move_rows(rows, angle, shift):
     ]
 
 
+def posture_feet_markers(posture, center=(0.0, 0.0)):
+    """The z-up heel and metatarsal markers, {"L"/"R": {"HEE"/"MT1"/"MT5":
+    (x, y, z)}}, of a posture whose anchor line is the task y axis, moved by
+    ``center``; each eCoP lies halfway from heel to metatarsal midpoint."""
+    feet = {}
+    for side, foot in (("L", posture.left), ("R", posture.right)):
+        # the anchor line is the task y axis, so the heel-to-toe axis points
+        # at pi/2 - orientation
+        direction = math.pi / 2.0 - foot.orientation
+        ux, uy = math.cos(direction), math.sin(direction)
+        half_length, half_width = foot.length / 2.0, foot.width / 2.0
+        ex, ey = np.add(center, (foot.ecop.x, foot.ecop.y)).tolist()
+        mx, my = ex + half_length * ux, ey + half_length * uy
+        feet[side] = {
+            "HEE": (ex - half_length * ux, ey - half_length * uy, 0.02),
+            "MT1": (mx - half_width * uy, my + half_width * ux, 0.01),
+            "MT5": (mx + half_width * uy, my - half_width * ux, 0.01),
+        }
+    return feet
+
+
 def sway_trial_rows(seed, n_frames):
     """Rows of a seeded synthetic z-up trial for :func:`trial_csv_text`.
 
@@ -106,20 +127,7 @@ def sway_trial_rows(seed, n_frames):
     rng = np.random.default_rng(seed)
     posture = random_postures(1, seed=seed)[0]
     center = rng.uniform(-0.5, 0.5, 2)
-    feet = {}
-    for side, foot in (("L", posture.left), ("R", posture.right)):
-        # the anchor line is the task y axis, so the heel-to-toe axis points
-        # at pi/2 - orientation
-        direction = math.pi / 2.0 - foot.orientation
-        ux, uy = math.cos(direction), math.sin(direction)
-        half_length, half_width = foot.length / 2.0, foot.width / 2.0
-        ex, ey = (center + (foot.ecop.x, foot.ecop.y)).tolist()
-        mx, my = ex + half_length * ux, ey + half_length * uy
-        feet[side] = {
-            "HEE": (ex - half_length * ux, ey - half_length * uy, 0.02),
-            "MT1": (mx - half_width * uy, my + half_width * ux, 0.01),
-            "MT5": (mx + half_width * uy, my - half_width * ux, 0.01),
-        }
+    feet = posture_feet_markers(posture, center)
     long_axis = rng.uniform(0.03, 0.2)
     short_axis = long_axis / rng.uniform(2.0, 5.0)
     tilt, phase = rng.uniform(0.0, math.pi), rng.uniform(0.0, 2.0 * math.pi)

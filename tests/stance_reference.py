@@ -102,6 +102,15 @@ def continuous_shape(params):
         )
     h_left = math.sqrt(params.reach_left**2 - ax**2)
     h_right = math.sqrt(params.reach_right**2 - bx**2)
+    # the front edge's distance from the origin; the back edge mirrors it.
+    # span is 0 only when both heights are, and so is the numerator: the
+    # library's 0/0 is NaN, which its check rejects
+    span = math.hypot(ax - bx, h_left + h_right)
+    if not (span and (ax * h_right + bx * h_left) / span > MIN_ANCHOR_SEPARATION):
+        raise DegenerateGeometryError(
+            f"front and back edges pass within {MIN_ANCHOR_SEPARATION:.0e} m of the stance "
+            "origin: the boundary has no area"
+        )
     return (
         params.reach_left, -params.reach_right, math.atan2(h_left, ax), math.atan2(h_right, bx),
         ax, h_left, bx, h_right,

@@ -15,6 +15,7 @@ from saddlebos import cli
 from saddlebos.cli import main
 from saddlebos import (
     BosBoundary,
+    DegenerateGeometryError,
     FootPose,
     classify_saddle_points,
     com_trajectory,
@@ -34,7 +35,7 @@ from saddlebos import (
 )
 from saddlebos.geometry import MAX_BOUNDARY_SAMPLES, saddle_array_from_task
 from saddlebos import trial_io
-from saddlebos.markers import MarkerFrame, MarkerTrial
+from saddlebos.markers import MarkerFrame, MarkerTrial, stance_table
 from saddlebos.trial_io import report_to_dict, round12
 
 from helpers import (
@@ -43,6 +44,7 @@ from helpers import (
     move_markers,
     move_rows,
     parallel_marker_frame,
+    posture_feet_markers,
     rotate_xy,
     sway_trial_rows,
     trial_csv_text,
@@ -486,6 +488,11 @@ def analyze_report(tmp_path, trial, *flags):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+#: the order in which a z-up marker's (x, y, z) is written for another up
+#: axis, so that dropping that axis leaves the same ground (x, y)
+UP_AXIS_ORDER = {"x": (2, 0, 1), "y": (1, 2, 0)}
+
+
 @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 300), data=st.data())
 def test_analyze_report_follows_a_rigid_motion_of_the_trial(tmp_path, capsys, seed, n, data):
@@ -496,15 +503,27 @@ def test_analyze_report_follows_a_rigid_motion_of_the_trial(tmp_path, capsys, se
     static feet and for a refit every frame and every N frames.  No example
     is skipped.  The semi-axes are compared within 1e-9 m, as the centre is:
     the motion moves their last bits, and the report rounds them to 12
-    significant digits."""
+    significant digits.  The trial written with x or y up and read with
+    ``--up-axis`` gives the z-up run's report, polygon and Saddle-CoM file
+    byte for byte."""
     angle = data.draw(st.floats(-math.pi, math.pi), label="angle")
     shift = [data.draw(st.floats(-5.0, 5.0), label="shift") for _ in range(2)]
     every = data.draw(st.integers(2, n), label="every")
+    up_axis = data.draw(st.sampled_from(sorted(UP_AXIS_ORDER)), label="up_axis")
     rows = sway_trial_rows(seed, n)
     still_trial = write_trial(tmp_path, rows, "still.csv")
     moved_trial = write_trial(tmp_path, move_rows(rows, angle, shift), "moved.csv")
+    order = UP_AXIS_ORDER[up_axis]
+    turned_rows = [
+        {label: value if label == "time" else tuple(value[k] for k in order)
+         for label, value in row.items()}
+        for row in rows
+    ]
+    turned_trial = write_trial(tmp_path, turned_rows, "turned.csv")
     for flags in ([], ["--refit-feet-every", "1"], ["--refit-feet-every", str(every)]):
-        still = analyze_report(tmp_path, still_trial, *flags)
+        outputs = analyze_outputs(tmp_path, still_trial, "still", *flags)
+        assert analyze_outputs(tmp_path, turned_trial, "turned", "--up-axis", up_axis, *flags) == outputs
+        still = json.loads(outputs[0])
         moved = analyze_report(tmp_path, moved_trial, *flags)
         for key in ("poi", "poi360", "n_samples", "n_outer"):
             assert moved[key] == still[key], (key, flags)
@@ -727,7 +746,7 @@ def test_validate_records_a_far_posture_that_bos_accepts(tmp_path, capsys):
 DEGENERATE_POSTURE = {"name": "degenerate", "separation": 0.30,
                       "left_angle_deg": 0, "right_angle_deg": 0}
 # 90 deg + atan(0.25 / 0.10): the front and back edges pass through the
-# origin, and sampling the boundary raises
+# origin, so the boundary has no area
 ZERO_AREA_POSTURE = {"name": "zero-area", "separation": 0.30,
                      "left_angle_deg": 158.19859051364818,
                      "right_angle_deg": 158.19859051364818}
@@ -751,24 +770,68 @@ def posture_file(tmp_path, *postures):
     return str(path)
 
 
+NO_AREA = ("DegenerateGeometryError: front and back edges pass within 1e-09 m of the stance "
+           "origin: the boundary has no area")
+
+
+def test_a_stance_with_no_area_is_rejected_alike_everywhere(tmp_path, capsys):
+    path = posture_file(tmp_path, ZERO_AREA_POSTURE)
+    feet = posture_feet_markers(trial_io.load_postures(path)[0])
+    row = complete_row(0.0) | {
+        side + name: xyz for side, markers in feet.items() for name, xyz in markers.items()
+    }
+    trial = write_trial(tmp_path, [row], "zero-area.csv")
+    bos = ["bos", "--posture-file", path, "--out", str(tmp_path / "bos.csv")]
+    analyze = ["analyze", "--markers", str(TRIAL_CSV), "--posture-file", path]
+    for argv in (bos, bos + ["--mode", "strict"], analyze,
+                 analyze + ["--polygon-out", str(tmp_path / "polygon.csv")],
+                 ["analyze", "--markers", str(trial)]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (2, "", NO_AREA + "\n"), argv
+    assert not (tmp_path / "bos.csv").exists() and not (tmp_path / "polygon.csv").exists()
+
+    with pytest.raises(DegenerateGeometryError) as raised:
+        stance_table(parse_trial_csv(trial), [0])
+    assert f"{type(raised.value).__name__}: {raised.value}" == NO_AREA
+
+    assert main(["validate", "--random-postures", "0", "--points", "2000", "--posture-file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    findings = json.loads(captured.out)
+    error, detail = NO_AREA.split(": ", 1)
+    assert findings["n_failed_checks"] == 1
+    assert findings["findings"][-1]["checks"] == {
+        "construct": {"ok": False, "error": error, "detail": detail}
+    }
+
+
 def test_validate_findings_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):
-    extra = posture_file(tmp_path, DEGENERATE_POSTURE, json.loads(FAR_POSTURE))
+    extra = posture_file(tmp_path, DEGENERATE_POSTURE, json.loads(FAR_POSTURE), ZERO_AREA_POSTURE)
     argv = VALIDATE_FAST + ["--posture-file", extra]
     serial = run_validate(monkeypatch, capsys, 1, argv)
     assert serial[0] == 1 and serial[2] == ""
     findings = json.loads(serial[1])
-    assert findings["n_postures"] == 10 and findings["n_failed_checks"] == 2
+    assert findings["n_postures"] == 11 and findings["n_failed_checks"] == 3
     for n_cpus in (2, 3):
         assert run_validate(monkeypatch, capsys, n_cpus, argv) == serial
         assert_no_child_left()
 
 
-def test_validate_reports_a_child_error_as_one_line(tmp_path, monkeypatch, capsys):
-    # seven postures on two CPUs: the child checks the last four
-    argv = ["validate", "--random-postures", "0", "--points", "2000",
-            "--posture-file", posture_file(tmp_path, ZERO_AREA_POSTURE)]
+def test_validate_reports_a_child_error_as_one_line(monkeypatch, capsys):
+    check = cli._check_posture
+
+    def failing_at_the_last(args, i, posture):
+        if i == 5:  # six catalog postures on two CPUs: the child checks the last three
+            raise DegenerateGeometryError("the last posture has no boundary")
+        return check(args, i, posture)
+
+    monkeypatch.setattr(cli, "_check_posture", failing_at_the_last)
+    argv = ["validate", "--random-postures", "0", "--points", "2000"]
     serial = run_validate(monkeypatch, capsys, 1, argv)
-    assert_one_line_input_error(serial[0], serial[2], "ValueError: consecutive polygon vertices coincide")
+    assert_one_line_input_error(
+        serial[0], serial[2], "DegenerateGeometryError: the last posture has no boundary"
+    )
     assert serial[1] == ""
     assert run_validate(monkeypatch, capsys, 2, argv) == serial
     assert_no_child_left()

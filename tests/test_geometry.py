@@ -13,6 +13,7 @@ from saddlebos import (
     FootPose,
     Point2,
     Polygon2,
+    SaddleBosError,
     SaddleFrame,
     Side,
     StrictModeUnsupportedError,
@@ -586,3 +587,45 @@ def test_scalar_stance_equals_the_reference_bit_for_bit(data):
     assert scalar_stance_outcome(
         saddle_frame_from_ecops, derive_bos_params, library_shape, left, right
     ) == want
+
+
+#: 1e-16 to 1e-2 rad either way
+NEAR_OFFSETS = st.builds(
+    lambda sign, exponent: sign * 10.0**exponent, st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -2.0)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_a_stance_is_built_with_a_usable_boundary_or_rejected(data):
+    """Build or reject.  Feet near 90 deg + atan(length / width), where a
+    foot's span is 0 and both together leave no area, and at other angles
+    either fail to build, or sample, classify and map to task space.  An
+    accepted boundary keeps every sampled vertex off the origin and every
+    pair of neighbours less than pi apart, so each polygon edge subtends a
+    well-defined arc from the origin."""
+    feet = []
+    for _ in Side:
+        length, width = data.draw(st.floats(0.05, 0.4)), data.draw(st.floats(0.03, 0.15))
+        critical = math.pi / 2 + math.atan(length / width)
+        feet.append((data.draw(NEAR_OFFSETS.map(lambda d: critical + d) | ORIENTATIONS), length, width))
+    x, y = (data.draw(st.floats(-10.0, 10.0)) for _ in range(2))
+    separation, direction = data.draw(st.floats(0.05, 1.0)), data.draw(st.floats(-4.0, 4.0))
+    left = FootPose(Point2(x, y), *feet[0], Side.LEFT)
+    right = FootPose(
+        Point2(x - separation * math.cos(direction), y - separation * math.sin(direction)),
+        *feet[1], Side.RIGHT,
+    )
+    try:
+        frame = saddle_frame_from_ecops(right.ecop, left.ecop)
+        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+    except (SaddleBosError, ValueError):
+        return
+    for n in (360, 3600):
+        verts = sample_boundary(boundary, n).vertices
+        assert np.hypot(verts[:, 0], verts[:, 1]).min() > 1e-12
+        theta = np.arctan2(verts[:, 1], verts[:, 0])
+        gaps = np.abs(np.mod(np.roll(theta, -1) - theta + math.pi, TWO_PI) - math.pi)
+        assert gaps.max() < math.pi - 1e-9
+    assert contains(boundary, Point2(*verts[0])) in Containment
+    bos_polygon_task_space(left, right)

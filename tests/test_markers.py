@@ -438,7 +438,8 @@ def test_foot_poses_at_is_rigid_motion_equivariant(seed, angle, shift, anchor):
 # --- stance table -----------------------------------------------------------
 
 STANCE_KINDS = (
-    "normal", "narrow", "zero-width", "zero-length", "coincident", "missing", "aligned"
+    "normal", "narrow", "zero-width", "zero-length", "coincident", "missing", "aligned",
+    "zero-area",
 )
 
 
@@ -461,6 +462,9 @@ def stance_ground(kind, u):
         separation, angle = 0.12 * u[6], [0.0, 0.0]
     elif kind in ("zero-width", "zero-length"):
         (width if kind == "zero-width" else length)[int(u[7] < 0.5)] = 0.0
+    elif kind == "zero-area":  # twin feet at 90 deg + atan(length / width): no area
+        length, width = length[:1] * 2, width[:1] * 2
+        angle = [-math.atan(length[0] / width[0])] * 2
     if kind == "aligned":  # both feet along the anchor line: no edge slope
         left = foot_markers((0.0, 0.2), math.pi / 2, 0.25, 0.1)
         right = foot_markers((0.0, -0.45), math.pi / 2, 0.25, 0.1)
@@ -543,6 +547,7 @@ def test_stance_table_checks_its_arguments_without_rows():
     ("coincident", CoincidentFeetError, "foot anchors coincide"),
     ("missing", MissingMarkerError, "is missing"),
     ("aligned", DegenerateGeometryError, "edge slopes are undefined"),
+    ("zero-area", DegenerateGeometryError, "front and back edges pass within 1e-09 m"),
 ])
 @pytest.mark.parametrize("up_axis", ["x", "y", "z"])
 def test_stance_table_raises_for_the_first_failing_row(kind, error, message, up_axis):
