@@ -188,7 +188,7 @@ class BosParams:
     """The eight scalars that fix the boundary shape for one stance.
 
     ``reach_left``/``reach_right`` are the signed radii of the left and right
-    caps about the frame origin (right is negative for a normal stance);
+    caps about the frame origin (a boundary needs reach_left > 0 > reach_right);
     ``margin_left``/``margin_right`` are each foot's contribution beyond its
     own anchor, so reach_left = separation/2 + margin_left and
     reach_right = -separation/2 + margin_right.  ``span_left``/``span_right``
@@ -342,18 +342,20 @@ def transform_posture(
 def derive_bos_params(frame: SaddleFrame, left: FootPose, right: FootPose) -> BosParams:
     """Compute the eight boundary shape scalars from a stance.
 
-    The frame must have been built from the same anchor points carried by
-    the two feet; this is checked.  Raises DegenerateGeometryError when the
+    A frame is a function of its feet: ``frame`` must equal
+    ``saddle_frame_from_ecops(right.ecop, left.ecop)`` exactly, or
+    ValueError is raised.  Raises DegenerateGeometryError when the
     shared slope denominator vanishes, which happens when the two feet
     contribute identical margins (for example both aligned with the anchor
     line).
     """
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
         raise ValueError("foot poses passed in the wrong order")
+    if frame != saddle_frame_from_ecops(right.ecop, left.ecop):
+        raise ValueError("the frame was not built from these feet's anchors")
     params, fault = _params_stage(*_one_row(
-        *frame.origin, frame.rotation, frame.separation,
-        *left.ecop, left.orientation, left.length, left.width,
-        *right.ecop, right.orientation, right.length, right.width,
+        frame.separation, left.orientation, left.length, left.width,
+        right.orientation, right.length, right.width,
     ))
     raise_first_fault(_STANCE_FAULTS, fault)
     return BosParams(*(v.item() for v in params))
@@ -395,9 +397,8 @@ _STANCE_FAULTS = (
      f"anchor separation {{separation:.3e}} m is below {MIN_ANCHOR_SEPARATION:.0e} m"),
     (ValueError, "point components must be finite, got ({origin_x}, {origin_y})"),
     (ValueError, "separation must be non-negative and finite"),
-    (ValueError, "left anchor does not match the frame it was paired with"),  # params stage
-    (ValueError, "right anchor does not match the frame it was paired with"),
-    (DegenerateGeometryError, "edge slopes are undefined: the feet contribute identical margins"),
+    (DegenerateGeometryError,  # params stage
+     "edge slopes are undefined: the feet contribute identical margins"),
     (DegenerateGeometryError,  # shape stage
      "cap half-extent reaches past the cap radius; boundary corners are not real"),
     (DegenerateGeometryError, "boundary is too large: a cap radius squared overflows a float"),
@@ -440,15 +441,10 @@ def _frame_stage(rx, ry, lx, ly):
     return (ox, oy, rotation, separation), fault
 
 
-def _params_stage(ox, oy, rotation, separation, lx, ly, lo, ll, lw, rx, ry, ro, rl, rw):
-    """:func:`derive_bos_params` for frames and feet (anchor x and y, orientation,
+def _params_stage(separation, lo, ll, lw, ro, rl, rw):
+    """:func:`derive_bos_params` for anchor separations and feet (orientation,
     length, width): the eight :class:`BosParams` fields, and fault codes."""
     with np.errstate(all="ignore"):
-        # the anchors belong at origin +/- R(rotation) (0, separation/2) in task space
-        half = separation / 2.0
-        ux, uy = -np.sin(rotation) * half, np.cos(rotation) * half
-        off_x = np.array([lx - (ox + ux), rx - (ox - ux)])  # left, right
-        off_frame = math_hypot(off_x, np.array([ly - (oy + uy), ry - (oy - uy)])) > 1e-9
         ul, ur = lo - math.pi / 2.0, ro - math.pi / 2.0
         margin_left = 0.5 * (ll * np.sin(ul) + lw * np.cos(ul))
         span_left = 0.5 * (ll * np.cos(ul) - lw * np.sin(ul))
@@ -458,15 +454,16 @@ def _params_stage(ox, oy, rotation, separation, lx, ly, lo, ll, lw, rx, ry, ro, 
         reach_right = -0.5 * separation + margin_right
         denom = separation + reach_right - reach_left
         slopes = (span_right - span_left) / denom, (span_left - span_right) / denom
-    fault = fault_codes(4, *off_frame, np.abs(denom) <= 1e-12)
+    fault = fault_codes(4, np.abs(denom) <= 1e-12)
     params = reach_left, reach_right, margin_left, margin_right, span_left, span_right, *slopes
     return params, fault
 
 
 def _shape_stage(reach_left, reach_right, span_left, span_right):
     """The resolved :class:`_ContinuousShape` of shape parameters, and fault
-    codes: the caps cannot close, a cap radius squared overflows, or the front
-    and back edges pass within MIN_ANCHOR_SEPARATION of the origin."""
+    codes: a cap cannot close (reach_left <= |span_left|, or its mirror
+    -reach_right <= |span_right|), a cap radius squared overflows, or the
+    front and back edges pass within MIN_ANCHOR_SEPARATION of the origin."""
     ax, bx = np.abs(span_left), np.abs(span_right)
     with np.errstate(all="ignore"):
         squares, overflow = _squares(np.array([reach_left, ax, reach_right, bx]))
@@ -474,7 +471,7 @@ def _shape_stage(reach_left, reach_right, span_left, span_right):
         h_left, h_right = np.sqrt(left_sq - ax_sq), np.sqrt(right_sq - bx_sq)
         # the front edge's distance from the origin; the back edge mirrors it
         edge_distance = (ax * h_right + bx * h_left) / math_hypot(ax - bx, h_left + h_right)
-    fault = fault_codes(7, (ax >= reach_left) | (bx >= np.abs(reach_right)), overflow.any(axis=0),
+    fault = fault_codes(5, (ax >= reach_left) | (bx >= -reach_right), overflow.any(axis=0),
                         ~(edge_distance > MIN_ANCHOR_SEPARATION))
     alpha, beta = math_atan2(np.array([h_left, h_right]), np.array([ax, bx]))
     return (reach_left, -reach_right, alpha, beta, ax, h_left, bx, h_right), fault
@@ -622,7 +619,7 @@ def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     left, right = (np.asarray(f, dtype=float).reshape(-1, 5).T for f in (left, right))
     (ox, oy, rotation, separation), fault = _frame_stage(right[0], right[1], left[0], left[1])
     rotation = _wrap_signed_array(rotation)  # SaddleFrame's second wrap
-    params, params_fault = _params_stage(ox, oy, rotation, separation, *left, *right)
+    params, params_fault = _params_stage(separation, *left[2:], *right[2:])
     shape, shape_fault = _shape_stage(*params[:2], *params[4:6])
     for later in (params_fault, shape_fault):
         fault = np.where(fault, fault, later)

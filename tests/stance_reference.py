@@ -80,23 +80,15 @@ def derive_bos_params(frame, left, right):
 
 
 def _check_feet_match_frame(frame, left, right):
-    half = frame.separation / 2.0
-    ux = -math.sin(frame.rotation) * half
-    uy = math.cos(frame.rotation) * half
-    for foot, sign in ((left, 1.0), (right, -1.0)):
-        want_x = frame.origin.x + sign * ux
-        want_y = frame.origin.y + sign * uy
-        if math.hypot(foot.ecop.x - want_x, foot.ecop.y - want_y) > 1e-9:
-            raise ValueError(
-                f"{foot.side.value} anchor does not match the frame it was paired with"
-            )
+    if frame != saddle_frame_from_ecops(right.ecop, left.ecop):
+        raise ValueError("the frame was not built from these feet's anchors")
 
 
 def continuous_shape(params):
     """The eight resolved shape values, in ``_ContinuousShape`` order."""
     ax = abs(params.span_left)
     bx = abs(params.span_right)
-    if ax >= params.reach_left or bx >= abs(params.reach_right):
+    if ax >= params.reach_left or bx >= -params.reach_right:
         raise DegenerateGeometryError(
             "cap half-extent reaches past the cap radius; boundary corners are not real"
         )

@@ -721,8 +721,8 @@ FAR_POSTURE = ('{"left": {"ecop": [1e9, 1000000000.3], "angle_deg": 90}, '
 
 
 def test_validate_records_a_far_posture_that_bos_accepts(tmp_path, capsys):
-    # a rigidly moved copy of the stance fails the feet-vs-frame check: that
-    # is a failed equivariance check, not an input error
+    # rigidly moved copies of the stance build, but their polygons round by
+    # about 1e-7 m: a failed equivariance check, not an input error
     far = tmp_path / "far.json"
     far.write_text(FAR_POSTURE)
     assert main(["bos", "--posture-file", str(far), "--out", str(tmp_path / "far.csv")]) == 0
@@ -733,11 +733,7 @@ def test_validate_records_a_far_posture_that_bos_accepts(tmp_path, capsys):
     findings = json.loads(captured.out)
     assert findings["n_postures"] == 7 and findings["n_failed_checks"] == 1
     checks = findings["findings"][-1]["checks"]
-    assert checks["equivariance"] == {
-        "ok": False,
-        "error": "ValueError",
-        "detail": "left anchor does not match the frame it was paired with",
-    }
+    assert checks["equivariance"] == {"ok": False, "max_deviation": 3.37174788087e-07}
     assert [name for name, check in checks.items() if not check["ok"]] == ["equivariance"]
 
 
@@ -772,38 +768,48 @@ def posture_file(tmp_path, *postures):
 
 NO_AREA = ("DegenerateGeometryError: front and back edges pass within 1e-09 m of the stance "
            "origin: the boundary has no area")
+# the right foot's margin exceeds half the separation: the right cap would lie
+# on the left side
+RIGHT_CAP_ON_THE_LEFT_POSTURE = {"name": "right-cap-on-the-left", "separation": 0.16,
+                                 "left_angle_deg": 90, "right_angle_deg": 160}
+NO_CORNERS = ("DegenerateGeometryError: cap half-extent reaches past the cap radius; boundary "
+              "corners are not real")
 
 
 def test_a_stance_with_no_area_is_rejected_alike_everywhere(tmp_path, capsys):
-    path = posture_file(tmp_path, ZERO_AREA_POSTURE)
-    feet = posture_feet_markers(trial_io.load_postures(path)[0])
-    row = complete_row(0.0) | {
-        side + name: xyz for side, markers in feet.items() for name, xyz in markers.items()
-    }
-    trial = write_trial(tmp_path, [row], "zero-area.csv")
-    bos = ["bos", "--posture-file", path, "--out", str(tmp_path / "bos.csv")]
-    analyze = ["analyze", "--markers", str(TRIAL_CSV), "--posture-file", path]
-    for argv in (bos, bos + ["--mode", "strict"], analyze,
-                 analyze + ["--polygon-out", str(tmp_path / "polygon.csv")],
-                 ["analyze", "--markers", str(trial)]):
-        code = main(argv)
+    for posture, message in ((ZERO_AREA_POSTURE, NO_AREA), (RIGHT_CAP_ON_THE_LEFT_POSTURE, NO_CORNERS)):
+        out = tmp_path / posture["name"]
+        out.mkdir()
+        path = posture_file(out, posture)
+        feet = posture_feet_markers(trial_io.load_postures(path)[0])
+        row = complete_row(0.0) | {
+            side + name: xyz for side, markers in feet.items() for name, xyz in markers.items()
+        }
+        trial = write_trial(out, [row], "stance.csv")
+        bos = ["bos", "--posture-file", path, "--out", str(out / "bos.csv")]
+        analyze = ["analyze", "--markers", str(TRIAL_CSV), "--posture-file", path]
+        for argv in (bos, bos + ["--mode", "strict"], analyze,
+                     analyze + ["--polygon-out", str(out / "polygon.csv")],
+                     ["analyze", "--markers", str(trial)]):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (2, "", message + "\n"), argv
+        assert not (out / "bos.csv").exists() and not (out / "polygon.csv").exists()
+
+        with pytest.raises(DegenerateGeometryError) as raised:
+            stance_table(parse_trial_csv(trial), [0])
+        assert f"{type(raised.value).__name__}: {raised.value}" == message
+
+        validate = ["validate", "--random-postures", "0", "--points", "2000", "--posture-file", path]
+        assert main(validate) == 1
         captured = capsys.readouterr()
-        assert (code, captured.out, captured.err) == (2, "", NO_AREA + "\n"), argv
-    assert not (tmp_path / "bos.csv").exists() and not (tmp_path / "polygon.csv").exists()
-
-    with pytest.raises(DegenerateGeometryError) as raised:
-        stance_table(parse_trial_csv(trial), [0])
-    assert f"{type(raised.value).__name__}: {raised.value}" == NO_AREA
-
-    assert main(["validate", "--random-postures", "0", "--points", "2000", "--posture-file", path]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    findings = json.loads(captured.out)
-    error, detail = NO_AREA.split(": ", 1)
-    assert findings["n_failed_checks"] == 1
-    assert findings["findings"][-1]["checks"] == {
-        "construct": {"ok": False, "error": error, "detail": detail}
-    }
+        assert captured.err == ""
+        findings = json.loads(captured.out)
+        error, detail = message.split(": ", 1)
+        assert findings["n_failed_checks"] == 1
+        assert findings["findings"][-1]["checks"] == {
+            "construct": {"ok": False, "error": error, "detail": detail}
+        }
 
 
 def test_validate_findings_do_not_depend_on_the_cpu_count(tmp_path, monkeypatch, capsys):

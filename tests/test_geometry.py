@@ -37,6 +37,7 @@ from saddlebos.geometry import (
     stance_rows,
     task_array_from_saddle,
 )
+from saddlebos.oracle import check_star_shape
 from saddlebos.trial_io import random_postures
 
 import stance_reference as reference
@@ -191,23 +192,42 @@ def test_mismatched_frame_rejected():
 
 @pytest.mark.parametrize("angle", [0.0, 0.7, 2.5, -1.9])
 def test_foot_off_its_frame_rejected(angle):
-    # rotated and shifted, so that a sign slip in the expected anchors shows
+    # a frame is a function of its feet: an anchor one ulp off is another
+    # stance unless its frame rounds to the same one, and a frame built from
+    # feet far from the origin is their own
     posture = parallel_posture()
 
-    def moved(foot, dx=0.0, dy=0.0):
+    def moved(foot, shift):
         x, y = rotate_xy(foot.ecop.x, foot.ecop.y, angle)
-        return replace(foot, ecop=Point2(x + 0.4 + dx, y - 0.2 + dy))
+        return replace(foot, ecop=Point2(x + shift[0], y + shift[1]))
 
-    left, right = moved(posture.left), moved(posture.right)
-    frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-    derive_bos_params(frame, left, right)
-    derive_bos_params(frame, moved(posture.left, 1e-10), moved(posture.right, 0.0, -1e-10))
-    for side, feet in (
-        ("left", (moved(posture.left, 1e-8), right)),
-        ("right", (left, moved(posture.right, 0.0, -1e-8))),
-    ):
-        with pytest.raises(ValueError, match=f"^{side} anchor does not match the frame"):
-            derive_bos_params(frame, *feet)
+    feet = [moved(posture.left, (0.4, -0.2)), moved(posture.right, (0.4, -0.2))]
+    frame = saddle_frame_from_ecops(feet[1].ecop, feet[0].ecop)
+    params = derive_bos_params(frame, *feet)
+    for side in (0, 1):
+        rejected = 0
+        x, y = feet[side].ecop
+        for ecop in [Point2(math.nextafter(x, d), y) for d in (-math.inf, math.inf)] + [
+            Point2(x, math.nextafter(y, d)) for d in (-math.inf, math.inf)
+        ]:
+            off = list(feet)
+            off[side] = replace(feet[side], ecop=ecop)
+            if saddle_frame_from_ecops(off[1].ecop, off[0].ecop) == frame:
+                assert derive_bos_params(frame, *off) == params
+                continue
+            with pytest.raises(ValueError, match="^the frame was not built from these feet's anchors$"):
+                derive_bos_params(frame, *off)
+            rejected += 1
+        assert rejected
+
+    # the stance moved 1e9 m away, then rotated about the task origin: its
+    # anchors round by about 1e-7 m
+    far = transform_posture(
+        *(replace(foot, ecop=Point2(foot.ecop.x + 1e9, foot.ecop.y + 1e9))
+          for foot in (posture.left, posture.right)),
+        angle, Point2(0.0, 0.0),
+    )
+    derive_bos_params(saddle_frame_from_ecops(far[1].ecop, far[0].ecop), *far)
 
 
 def test_degenerate_slope_denominator():
@@ -601,9 +621,10 @@ def test_a_stance_is_built_with_a_usable_boundary_or_rejected(data):
     """Build or reject.  Feet near 90 deg + atan(length / width), where a
     foot's span is 0 and both together leave no area, and at other angles
     either fail to build, or sample, classify and map to task space.  An
-    accepted boundary keeps every sampled vertex off the origin and every
-    pair of neighbours less than pi apart, so each polygon edge subtends a
-    well-defined arc from the origin."""
+    accepted boundary keeps every sampled vertex off the origin, along its
+    own sample direction and less than pi from its neighbours, so each
+    polygon edge subtends a well-defined arc from the origin, and the
+    boundary is star-shaped about it."""
     feet = []
     for _ in Side:
         length, width = data.draw(st.floats(0.05, 0.4)), data.draw(st.floats(0.03, 0.15))
@@ -624,8 +645,11 @@ def test_a_stance_is_built_with_a_usable_boundary_or_rejected(data):
     for n in (360, 3600):
         verts = sample_boundary(boundary, n).vertices
         assert np.hypot(verts[:, 0], verts[:, 1]).min() > 1e-12
+        phis = TWO_PI * np.arange(n) / n
+        assert (verts[:, 0] * np.cos(phis) + verts[:, 1] * np.sin(phis)).min() > 0.0
         theta = np.arctan2(verts[:, 1], verts[:, 0])
         gaps = np.abs(np.mod(np.roll(theta, -1) - theta + math.pi, TWO_PI) - math.pi)
         assert gaps.max() < math.pi - 1e-9
+    assert check_star_shape(boundary, 720).ok
     assert contains(boundary, Point2(*verts[0])) in Containment
     bos_polygon_task_space(left, right)

@@ -1,13 +1,12 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from saddlebos import (
-    BosBoundary,
     Containment,
+    DegenerateGeometryError,
     FootPose,
     Point2,
     Polygon2,
@@ -17,6 +16,7 @@ from saddlebos import (
     random_postures,
     sample_boundary,
 )
+from saddlebos import oracle
 from saddlebos.oracle import (
     check_containment_agreement,
     check_convexity,
@@ -171,11 +171,16 @@ def test_star_shape_minimal_run():
     assert report.ok
 
 
-def test_star_shape_detects_negated_right_reach():
-    posture = parallel_posture()
-    params = posture.params()
-    broken = replace(params, reach_right=-params.reach_right)
-    report = check_star_shape(BosBoundary(broken, posture.frame()), n=720)
+def test_star_shape_detects_negated_right_reach(monkeypatch):
+    # the shape stage rejects a right cap on the left side, so the polygon it
+    # would sample is built here: the right cap's vertices mirrored through
+    # the origin onto the left cap's side
+    boundary = parallel_posture().boundary()
+    verts = sample_boundary(boundary, 720).vertices.copy()
+    right_cap = np.isclose(np.hypot(*verts.T), -boundary.params.reach_right) & (verts[:, 1] < 0.0)
+    verts[right_cap] *= -1.0
+    monkeypatch.setattr(oracle, "sample_boundary", lambda boundary, n: Polygon2(verts))
+    report = check_star_shape(boundary, n=720)
     assert not report.ok
     assert len(report.violations) > 0
 
@@ -267,17 +272,23 @@ def test_negative_seed_is_named():
         random_postures(0, seed=-1)
 
 
-def test_equivariance_fails_when_a_moved_stance_is_rejected():
-    # anchors near 1e9 m: a moved copy's coordinates round by about 1e-7 m,
-    # past the feet-vs-frame bound of 1e-9 m
-    left = FootPose(Point2(1e9, 1000000000.3), math.radians(90), 0.25, 0.10, Side.LEFT)
-    right = FootPose(Point2(1e9, 1e9), math.radians(90), 0.25, 0.10, Side.RIGHT)
-    report = check_equivariance(left, right, n_motions=3)
-    assert not report.ok
-    assert type(report.error) is ValueError
-    assert str(report.error).endswith("anchor does not match the frame it was paired with")
+def test_equivariance_fails_when_a_moved_stance_is_rejected(monkeypatch):
     posture = parallel_posture()
     assert check_equivariance(posture.left, posture.right, n_motions=3).error is None
+    # anchors near 1e9 m: the moved copies build, but round by about 1e-7 m
+    left = FootPose(Point2(1e9, 1000000000.3), math.radians(90), 0.25, 0.10, Side.LEFT)
+    right = FootPose(Point2(1e9, 1e9), math.radians(90), 0.25, 0.10, Side.RIGHT)
+    far = check_equivariance(left, right, n_motions=3)
+    assert far.error is None and not far.ok
+
+    def rejected(*args):
+        raise DegenerateGeometryError("the moved stance has no boundary")
+
+    monkeypatch.setattr(oracle, "transform_posture", rejected)
+    report = check_equivariance(posture.left, posture.right, n_motions=3)
+    assert not report.ok
+    assert type(report.error) is DegenerateGeometryError
+    assert str(report.error) == "the moved stance has no boundary"
 
 
 def test_equivariance_catalog():
