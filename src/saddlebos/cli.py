@@ -40,13 +40,13 @@ from .geometry import (
     BosBoundary,
     BosParams,
     BoundaryMode,
-    classify_saddle_points,  # noqa: F401  unused; perfbench's tracer test expects the binding
+    classify_saddle_points,
     classify_task_segments,
     derive_bos_params,
+    saddle_array_from_task,
     saddle_frame_from_ecops,
     sample_boundary,
     polygon_to_task_space,
-    stance_rows,
 )
 
 CONFIG_ENV_VAR = "SADDLE_BOS_CONFIG"
@@ -206,8 +206,8 @@ def cmd_analyze(args, config: RunConfig) -> int:
     anchor = "mt-mid" if args.d_from_mt_mid else "ecop"
 
     # the first stance (the only one for static feet or a fixed posture) is
-    # built as objects, which also give the polygon; refit stances come from
-    # one array pass over the trial
+    # built as objects, which also give the polygon; the stances of several
+    # segments come from one array pass over the trial
     if posture is None:
         left, right = mk.foot_poses_at(complete, 0, config.ecop_fraction, config.up_axis, anchor)
     else:
@@ -218,9 +218,10 @@ def cmd_analyze(args, config: RunConfig) -> int:
         table = mk.stance_table(
             complete, range(0, len(complete), step), config.ecop_fraction, config.up_axis, anchor
         )
+        saddle_pts, codes = classify_task_segments(table, step, traj.points, config.contains_tol)
     else:
-        table = stance_rows([(frame, boundary)])
-    saddle_pts, codes = classify_task_segments(table, step, traj.points, config.contains_tol)
+        saddle_pts = saddle_array_from_task(frame, traj.points)
+        codes = classify_saddle_points(boundary, saddle_pts, config.contains_tol)
     report = mt.score_saddle_samples(traj, saddle_pts, codes, config.bins, config.k_sigma)
 
     if args.polygon_out:

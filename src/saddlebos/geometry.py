@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -347,7 +347,8 @@ def derive_bos_params(frame: SaddleFrame, left: FootPose, right: FootPose) -> Bo
     ValueError is raised.  Raises DegenerateGeometryError when the
     shared slope denominator vanishes, which happens when the two feet
     contribute identical margins (for example both aligned with the anchor
-    line).
+    line) or when their margins vanish in rounding next to a huge anchor
+    separation.
     """
     if left.side is not Side.LEFT or right.side is not Side.RIGHT:
         raise ValueError("foot poses passed in the wrong order")
@@ -399,6 +400,9 @@ _STANCE_FAULTS = (
     (ValueError, "separation must be non-negative and finite"),
     (DegenerateGeometryError,  # params stage
      "edge slopes are undefined: the feet contribute identical margins"),
+    (DegenerateGeometryError,
+     "edge slopes are undefined: the feet's margins vanish in rounding next to the anchor "
+     "separation"),
     (DegenerateGeometryError,  # shape stage
      "cap half-extent reaches past the cap radius; boundary corners are not real"),
     (DegenerateGeometryError, "boundary is too large: a cap radius squared overflows a float"),
@@ -454,7 +458,8 @@ def _params_stage(separation, lo, ll, lw, ro, rl, rw):
         reach_right = -0.5 * separation + margin_right
         denom = separation + reach_right - reach_left
         slopes = (span_right - span_left) / denom, (span_left - span_right) / denom
-    fault = fault_codes(4, np.abs(denom) <= 1e-12)
+    vanished = np.abs(denom) <= 1e-12
+    fault = fault_codes(4, vanished & (np.abs(margin_right - margin_left) <= 1e-12), vanished)
     params = reach_left, reach_right, margin_left, margin_right, span_left, span_right, *slopes
     return params, fault
 
@@ -471,7 +476,7 @@ def _shape_stage(reach_left, reach_right, span_left, span_right):
         h_left, h_right = np.sqrt(left_sq - ax_sq), np.sqrt(right_sq - bx_sq)
         # the front edge's distance from the origin; the back edge mirrors it
         edge_distance = (ax * h_right + bx * h_left) / math_hypot(ax - bx, h_left + h_right)
-    fault = fault_codes(5, (ax >= reach_left) | (bx >= -reach_right), overflow.any(axis=0),
+    fault = fault_codes(6, (ax >= reach_left) | (bx >= -reach_right), overflow.any(axis=0),
                         ~(edge_distance > MIN_ANCHOR_SEPARATION))
     alpha, beta = math_atan2(np.array([h_left, h_right]), np.array([ax, bx]))
     return (reach_left, -reach_right, alpha, beta, ax, h_left, bx, h_right), fault
@@ -578,9 +583,10 @@ def classify_task_segments(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Saddle-space points and containment codes for (n, 2) task-space samples
     in consecutive segments of ``step`` samples, each in its own stance: row k
-    of the ``(ceil(n / step), 12)`` stance ``table`` (see :func:`stance_rows`)
-    serves segment k.  Bit for bit :func:`saddle_array_from_task` then
-    :func:`classify_saddle_points` per segment, from one call of each kernel."""
+    of the ``(ceil(n / step), 12)`` stance ``table`` (see
+    :func:`stance_rows_from_feet`) serves segment k.  Bit for bit
+    :func:`saddle_array_from_task` then :func:`classify_saddle_points` per
+    segment, from one call of each kernel."""
     task_pts = np.asarray(task_pts, dtype=float)
     if step < 1:
         raise ValueError(f"segment step must be at least 1, got {step}")
@@ -590,30 +596,19 @@ def classify_task_segments(
         raise ValueError(
             f"{n_segments} segments need a ({n_segments}, 12) stance table, got {table.shape}"
         )
-    # one stance passes its scalars through: no per-sample shape arrays
-    cols = table[0].tolist() if len(table) == 1 else table[np.arange(len(task_pts)) // step].T
+    cols = table[np.arange(len(task_pts)) // step].T
     saddle_pts = _to_saddle(task_pts, *cols[:4])
     return saddle_pts, _classify(_ContinuousShape(*cols[4:]), saddle_pts, tol)
 
 
-def stance_rows(stances: Iterable[tuple[SaddleFrame, BosBoundary]]) -> np.ndarray:
-    """The (m, 12) stance table of ``(frame, boundary)`` pairs for
-    :func:`classify_task_segments`.  Row k holds frame k's origin x and y, the
-    cosine and sine of its rotation, and boundary k's resolved continuous
-    shape: cap radii left and right, corner angles alpha and beta, and the
-    corners' ax, h_left, bx and h_right.  A strict-mode boundary is refused."""
-    rows = [
-        (frame.origin.x, frame.origin.y, math.cos(frame.rotation), math.sin(frame.rotation),
-         *_continuous(boundary))
-        for frame, boundary in stances
-    ]
-    return np.array(rows, dtype=float).reshape(len(rows), 12)
-
-
 def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """:func:`stance_rows` for m stances given as (m, 5) arrays of left and
-    right feet, each row the anchor x and y, orientation, length and width of
-    a :class:`FootPose`: the stages that :func:`saddle_frame_from_ecops`,
+    """The (m, 12) stance table of m stances given as (m, 5) arrays of left
+    and right feet, each row the anchor x and y, orientation, length and
+    width of a :class:`FootPose`, for :func:`classify_task_segments`.  Row k
+    holds stance k's frame origin x and y, the cosine and sine of its
+    rotation, and its resolved continuous shape: cap radii left and right,
+    corner angles alpha and beta, and the corners' ax, h_left, bx and
+    h_right.  It runs the stages that :func:`saddle_frame_from_ecops`,
     :func:`derive_bos_params` and :class:`BosBoundary` run on one stance, so
     each row is theirs bit for bit and the first stance they reject raises."""
     left, right = (np.asarray(f, dtype=float).reshape(-1, 5).T for f in (left, right))

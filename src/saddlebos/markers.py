@@ -267,8 +267,8 @@ def stance_table(
     up_axis: str = "z",
     anchor: str = "ecop",
 ) -> np.ndarray:
-    """The (m, 12) stance table (see :func:`geometry.stance_rows`) of the
-    trial rows ``rows``, for :func:`geometry.classify_task_segments`.
+    """The (m, 12) stance table (see :func:`geometry.stance_rows_from_feet`)
+    of the trial rows ``rows``, for :func:`geometry.classify_task_segments`.
 
     Every stance comes from one array pass: marker rows to feet here, feet
     to frame and boundary in :func:`geometry.stance_rows_from_feet`.

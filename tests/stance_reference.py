@@ -62,8 +62,13 @@ def derive_bos_params(frame, left, right):
 
     denom = frame.separation + reach_right - reach_left
     if abs(denom) <= 1e-12:
+        if abs(margin_right - margin_left) <= 1e-12:
+            raise DegenerateGeometryError(
+                "edge slopes are undefined: the feet contribute identical margins"
+            )
         raise DegenerateGeometryError(
-            "edge slopes are undefined: the feet contribute identical margins"
+            "edge slopes are undefined: the feet's margins vanish in rounding next to the "
+            "anchor separation"
         )
     slope_back = (span_right - span_left) / denom
     slope_front = (span_left - span_right) / denom
@@ -164,7 +169,8 @@ def foot_poses_of_row(row, ecop_fraction, up_axis, anchor):
 
 def stance_row(left, right):
     """The stance table row of two feet: frame, parameters and shape from
-    the functions above, laid out as ``geometry.stance_rows`` lays it out."""
+    the functions above, laid out as ``geometry.stance_rows_from_feet`` lays
+    it out."""
     frame = saddle_frame_from_ecops(right.ecop, left.ecop)
     shape = continuous_shape(derive_bos_params(frame, left, right))
     return (frame.origin.x, frame.origin.y, math.cos(frame.rotation), math.sin(frame.rotation),

@@ -36,7 +36,7 @@ from saddlebos import (
 from saddlebos.geometry import MAX_BOUNDARY_SAMPLES, saddle_array_from_task
 from saddlebos import trial_io
 from saddlebos.markers import MarkerFrame, MarkerTrial, stance_table
-from saddlebos.trial_io import report_to_dict, round12
+from saddlebos.trial_io import round12
 
 from helpers import (
     TRIAL_CSV,
@@ -279,14 +279,35 @@ def test_analyze_rejects_refit_with_posture_file(tmp_path, capsys):
     assert_one_line_input_error(code, capsys.readouterr().err, message)
 
 
-def test_analyze_matches_library_report(capsys):
-    assert main(["analyze", "--markers", str(TRIAL_CSV)]) == 0
+def assert_analyze_matches_library_report(tmp_path, left, right, *flags):
+    """``analyze``'s report and Saddle-CoM files are byte for byte those the
+    library writes for the stance of ``left`` and ``right``."""
     complete = [f for f in parse_trial_csv(TRIAL_CSV) if f.is_complete]
-    left, right = foot_poses(complete[0])
+    out, com = tmp_path / "report.json", tmp_path / "com.csv"
+    argv = ["analyze", "--markers", str(TRIAL_CSV), *flags, "--out", str(out)]
+    assert main(argv + ["--saddle-com-out", str(com)]) == 0
     frame = saddle_frame_from_ecops(right.ecop, left.ecop)
     boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
-    report = compute_report(com_trajectory(complete), boundary, frame)
-    assert json.loads(capsys.readouterr().out) == report_to_dict(report)
+    traj = com_trajectory(complete)
+    want = tmp_path / "want.json"
+    export_report(compute_report(traj, boundary, frame), want)
+    assert out.read_bytes() == want.read_bytes()
+    want_com = trial_io.xy_csv_text(saddle_array_from_task(frame, traj.points))
+    assert com.read_bytes() == want_com.encode()
+
+
+def test_analyze_matches_library_report(tmp_path):
+    first = next(f for f in parse_trial_csv(TRIAL_CSV) if f.is_complete)
+    assert_analyze_matches_library_report(tmp_path, *foot_poses(first))
+
+
+def test_analyze_posture_file_matches_library_report(tmp_path):
+    posture = tmp_path / "posture.json"
+    posture.write_text('{"separation": 0.3, "left_angle_deg": 80, "right_angle_deg": 100}')
+    spec, = trial_io.load_postures(posture)
+    assert_analyze_matches_library_report(
+        tmp_path, spec.left, spec.right, "--posture-file", str(posture)
+    )
 
 
 def analyze_outputs(tmp_path, trial, name, *flags):
@@ -973,6 +994,10 @@ OVERFLOW_MESSAGE = "DegenerateGeometryError: boundary is too large: a cap radius
 INFINITE_POSTURE = ('{"separation": 0.3, "left_angle_deg": 90, "right_angle_deg": 90, '
                     '"foot_length": Infinity}')
 INFINITE_MESSAGE = "ValueError: foot length and width must be finite"
+# feet whose margins, 0.05 and -0.05 m, vanish in rounding next to the separation
+FAR_APART_POSTURE = '{"separation": 1e200, "left_angle_deg": 90, "right_angle_deg": 90}'
+FAR_APART_MESSAGE = ("DegenerateGeometryError: edge slopes are undefined: "
+                     "the feet's margins vanish in rounding next to the anchor separation\n")
 TOO_MANY_BINS = "n_bins must be at most 1000000, got 1000001"
 CONFIG_CORPUS = [
     ('{"contains_tol": 1e400}', "containment tol must be finite and at least 0, got inf"),
@@ -1010,6 +1035,8 @@ def corpus_argv(command, out, posture=None):
       for cmd in ("bos", "analyze")),
     *(pytest.param(cmd, INFINITE_POSTURE, None, [], INFINITE_MESSAGE, id=f"{cmd}-infinite-foot")
       for cmd in ("bos", "analyze", "validate")),
+    *(pytest.param(cmd, FAR_APART_POSTURE, None, [], FAR_APART_MESSAGE, id=f"{cmd}-margins-lost")
+      for cmd in ("bos", "analyze")),
 ])
 def test_malformed_input_exits_2_and_writes_nothing(
     tmp_path, capsys, monkeypatch, command, posture, config, flags, message

@@ -34,11 +34,11 @@ from saddlebos.geometry import (
     classify_saddle_points,
     classify_task_segments,
     saddle_array_from_task,
-    stance_rows,
+    stance_rows_from_feet,
     task_array_from_saddle,
 )
 from saddlebos.oracle import check_star_shape
-from saddlebos.trial_io import random_postures
+from saddlebos.trial_io import posture_from_parameters, random_postures
 
 import stance_reference as reference
 from helpers import parallel_posture, rotate_xy
@@ -239,6 +239,19 @@ def test_degenerate_slope_denominator():
         derive_bos_params(posture.frame(), left, right)
 
 
+@pytest.mark.parametrize("angle, message", [
+    # margins of 0.05 and -0.05 m vanish next to a 1e200 m separation
+    (math.pi / 2, "the feet's margins vanish in rounding next to the anchor separation"),
+    (0.0, "the feet contribute identical margins"),
+])
+def test_a_vanishing_slope_denominator_names_its_cause(angle, message):
+    posture = posture_from_parameters("apart", 1e200, angle, angle)
+    with pytest.raises(DegenerateGeometryError, match=message):
+        derive_bos_params(posture.frame(), posture.left, posture.right)
+    with pytest.raises(DegenerateGeometryError, match=message):
+        stance_rows_from_feet(*feet_arrays([(posture.left, posture.right)]))
+
+
 # --- boundary evaluation ------------------------------------------------------
 
 
@@ -360,12 +373,13 @@ def test_contains_tolerance_band():
 @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0, -1e-300])
 def test_containment_rejects_a_bad_tol(tol):
     posture = parallel_posture()
-    frame, boundary = posture.frame(), posture.boundary()
+    boundary = posture.boundary()
     message = "containment tol must be finite and at least 0"
     with pytest.raises(ValueError, match=message):
         classify_saddle_points(boundary, np.zeros((3, 2)), tol)
+    table = stance_rows_from_feet(*feet_arrays([(posture.left, posture.right)]))
     with pytest.raises(ValueError, match=message):
-        classify_task_segments(stance_rows([(frame, boundary)]), 3, np.zeros((3, 2)), tol)
+        classify_task_segments(table, 3, np.zeros((3, 2)), tol)
     with pytest.raises(ValueError, match=message):
         contains(boundary, Point2(0, 0), tol)
     assert contains(boundary, Point2(0, 0.2), tol=0.0) is Containment.ON
@@ -381,16 +395,32 @@ def test_contains_strict_mode_refused():
 # --- per-segment classification ---------------------------------------------
 
 
+def feet_arrays(feet):
+    """The (m, 5) left and right foot arrays of ``stance_rows_from_feet``
+    for m ``(left, right)`` pairs of foot poses."""
+    return tuple(
+        np.array([(*foot.ecop, foot.orientation, foot.length, foot.width) for foot in side])
+        for side in zip(*feet)
+    )
+
+
 def moved_stances(seed, count):
-    """``count`` random non-degenerate stances, each moved rigidly in task space."""
+    """``count`` random non-degenerate stances, each moved rigidly in task
+    space: its feet, frame and boundary."""
     rng = np.random.default_rng(seed)
     stances = []
     for posture in random_postures(count, seed=seed):
         shift = Point2(*rng.uniform(-2.0, 2.0, 2))
         left, right = transform_posture(posture.left, posture.right, rng.uniform(-4, 4), shift)
         frame = saddle_frame_from_ecops(right.ecop, left.ecop)
-        stances.append((frame, BosBoundary(derive_bos_params(frame, left, right), frame)))
+        boundary = BosBoundary(derive_bos_params(frame, left, right), frame)
+        stances.append(((left, right), frame, boundary))
     return stances
+
+
+def stance_table(stances):
+    """The stance table of ``moved_stances``, built from their feet."""
+    return stance_rows_from_feet(*feet_arrays([feet for feet, _, _ in stances]))
 
 
 def stance_task_points(frame, boundary, count, rng):
@@ -414,12 +444,12 @@ def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
     stances = moved_stances(seed, -(-n // step))
     rng = np.random.default_rng(seed)
     pts, want_saddle, want_codes = [], [], []
-    for k, (frame, boundary) in enumerate(stances):
+    for k, (_, frame, boundary) in enumerate(stances):
         seg = stance_task_points(frame, boundary, min(step, n - k * step), rng)
         pts.append(seg)
         want_saddle.append(saddle_array_from_task(frame, seg))
         want_codes.append(classify_saddle_points(boundary, want_saddle[-1]))
-    saddle, codes = classify_task_segments(stance_rows(iter(stances)), step, np.concatenate(pts))
+    saddle, codes = classify_task_segments(stance_table(stances), step, np.concatenate(pts))
     assert saddle.tobytes() == np.concatenate(want_saddle).tobytes()
     assert np.array_equal(codes, np.concatenate(want_codes))
     assert codes.dtype == np.int8
@@ -428,19 +458,12 @@ def test_classify_task_segments_equals_per_segment_calls(step_of, seed, n):
 def test_classify_task_segments_needs_one_stance_per_segment():
     stances = moved_stances(1, 3)
     pts = np.zeros((7, 2))
-    classify_task_segments(stance_rows(stances), 3, pts)
+    classify_task_segments(stance_table(stances), 3, pts)
     for wrong in (stances[:2], stances + stances[:1]):
         with pytest.raises(ValueError):
-            classify_task_segments(stance_rows(iter(wrong)), 3, pts)
+            classify_task_segments(stance_table(wrong), 3, pts)
     with pytest.raises(ValueError, match="step must be at least 1, got 0"):
-        classify_task_segments(stance_rows(stances), 0, pts)
-
-
-def test_classify_task_segments_refuses_strict_mode():
-    posture = parallel_posture()
-    strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
-    with pytest.raises(StrictModeUnsupportedError):
-        classify_task_segments(stance_rows([(posture.frame(), strict)]), 5, np.zeros((5, 2)))
+        classify_task_segments(stance_table(stances), 0, pts)
 
 
 def test_anchors_inside_for_catalog():
@@ -568,19 +591,23 @@ def scalar_stance_outcome(frame_of, params_of, shape_of, left, right):
 
 
 def library_shape(params, frame):
-    return stance_rows([(frame, BosBoundary(params, frame))])[0, 4:]
+    return BosBoundary(params, frame)._shape
 
 
 @settings(max_examples=400, deadline=None)
 @given(data=st.data())
 def test_scalar_stance_equals_the_reference_bit_for_bit(data):
-    kind = data.draw(st.sampled_from(["random"] * 4 + ["aligned", "narrow", "coincident", "huge"]))
+    kind = data.draw(st.sampled_from(
+        ["random"] * 4 + ["aligned", "narrow", "coincident", "huge", "apart"]
+    ))
     scale = data.draw(st.sampled_from([0.0, 1.0, 1e3, 1e6, 1e9]))
     x, y = (data.draw(st.floats(-scale, scale)) for _ in range(2))
     direction = data.draw(st.floats(-4.0, 4.0))
     separation = {
         "narrow": data.draw(st.floats(0.0, 0.05)),
         "coincident": data.draw(st.sampled_from([0.0, 1e-10, 1e-9, 2e-9])),
+        # the margins may vanish in rounding next to the separation
+        "apart": data.draw(st.sampled_from([1e14, 1e15, 1e16, 1e17, 1e100, 1e200])),
     }.get(kind, data.draw(st.floats(0.05, 1.0)))
     lengths, widths = [
         [data.draw(st.floats(lo, hi)) for _ in range(2)] for lo, hi in ((0.05, 0.4), (0.03, 0.15))

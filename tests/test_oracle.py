@@ -241,6 +241,21 @@ def test_containment_agreement_parallel():
     assert report.max_disagreement_distance <= 1e-6
 
 
+@pytest.mark.parametrize("index", range(len(posture_catalog())))
+def test_containment_agreement_fails_a_radius_off_by_1e_4(monkeypatch, index):
+    # validate's defaults: 20 000 points, seeded with the catalog index
+    boundary = posture_catalog()[index].boundary()
+    assert check_containment_agreement(boundary, n_points=20_000, seed=index).ok
+    radial = oracle.classify_saddle_points
+    # a classifier whose boundary radius is 1 + 1e-4 times the true one
+    monkeypatch.setattr(
+        oracle, "classify_saddle_points", lambda b, pts, tol: radial(b, pts / (1 + 1e-4), tol)
+    )
+    report = check_containment_agreement(boundary, n_points=20_000, seed=index)
+    assert not report.ok
+    assert report.max_disagreement_distance > report.max_allowed_distance
+
+
 def test_agreement_consistent_with_classifiers():
     posture = parallel_posture()
     boundary = posture.boundary()

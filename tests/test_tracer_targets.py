@@ -65,14 +65,15 @@ def test_every_traced_function_exists():
 LAYERS, WORKLOADS = analyze_workloads()
 
 
-@pytest.mark.parametrize("flags, outputs", [w[1:] for w in WORKLOADS], ids=[w[0] for w in WORKLOADS])
-def test_analyze_reaches_every_traced_layer(tmp_path, capsys, monkeypatch, flags, outputs):
+def traced_analyze_groups(tmp_path, monkeypatch, flags, outputs) -> set[str]:
+    """The ``TARGETS`` groups that ``analyze`` with ``flags`` and ``outputs``
+    reaches on the fixture."""
     reached = set()
     for module, name, group in traced_functions():
         original = getattr(importlib.import_module(f"saddlebos.{module}"), name)
 
-        def traced(*args, original=original, layer=group.split(".")[0], **kwargs):
-            reached.add(layer)
+        def traced(*args, original=original, group=group, **kwargs):
+            reached.add(group)
             return original(*args, **kwargs)
 
         # every binding site, as the tracer patches them
@@ -85,4 +86,18 @@ def test_analyze_reaches_every_traced_layer(tmp_path, capsys, monkeypatch, flags
     for name, (flag, suffix) in outputs.items():
         argv += [flag, str(tmp_path / f"{name}{suffix}")]
     assert main(argv) == 0
-    assert set(LAYERS) - reached == set()
+    return reached
+
+
+@pytest.mark.parametrize("flags, outputs", [w[1:] for w in WORKLOADS], ids=[w[0] for w in WORKLOADS])
+def test_analyze_reaches_every_traced_layer(tmp_path, capsys, monkeypatch, flags, outputs):
+    reached = traced_analyze_groups(tmp_path, monkeypatch, flags, outputs)
+    assert set(LAYERS) - {group.split(".")[0] for group in reached} == set()
+
+
+def test_static_analyze_reaches_the_transform_and_classify_groups(tmp_path, capsys, monkeypatch):
+    # a static run scores through traced geometry calls, so the bench's
+    # geometry.transform_s and geometry.classify_s profile it
+    flags, outputs = next(w[1:] for w in WORKLOADS if w[0] == "analyze-long")
+    reached = traced_analyze_groups(tmp_path, monkeypatch, flags, outputs)
+    assert {"geometry.transform", "geometry.classify"} - reached == set()
