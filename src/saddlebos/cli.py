@@ -301,7 +301,8 @@ def _check_posture(args, i: int, posture: tio.PostureSpec) -> dict:
         entry["checks"]["construct"] = _failed_check(exc)
         return entry
 
-    star = oracle.check_star_shape(boundary, n=args.rays)
+    polygon = sample_boundary(boundary, args.rays)
+    star = oracle.check_star_shape(polygon)
     entry["checks"]["star_shape"] = {
         "ok": star.ok,
         "n_rays": star.n_rays,
@@ -309,7 +310,7 @@ def _check_posture(args, i: int, posture: tio.PostureSpec) -> dict:
             tio.round12(v) for v in star.violations[:8]
         ],
     }
-    convex = oracle.check_convexity(sample_boundary(boundary, args.rays))
+    convex = oracle.check_convexity(polygon)
     entry["checks"]["convexity"] = {"ok": bool(convex)}
     # the agreement polygon stays fine-grained regardless of --rays: a
     # coarse polygon's chord error would swamp the disagreement bound

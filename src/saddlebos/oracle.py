@@ -31,6 +31,18 @@ from .geometry import (
     transform_posture,
 )
 
+# bounds of the agreement and equivariance checks
+AGREEMENT_VERTICES = 3600
+AGREEMENT_TOL = 1e-9
+REQUIRED_AGREEMENT_PCT = 99.8
+MAX_DISAGREEMENT_DISTANCE = 1e-6
+EQUIVARIANCE_VERTICES = 360
+EQUIVARIANCE_TOL = 1e-9
+
+# points per block of _distance_to_edges' point-by-edge arrays
+_DISTANCE_CHUNK = 256
+
+
 @dataclass(frozen=True)
 class StarShapeReport:
     """Ray-crossing counts for evenly spread directions; a star-shaped
@@ -54,14 +66,12 @@ class AgreementReport:
     n_disagreements: int
     agreement_pct: float
     max_disagreement_distance: float
-    required_agreement_pct: float
-    max_allowed_distance: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.agreement_pct >= self.required_agreement_pct
-            and self.max_disagreement_distance <= self.max_allowed_distance
+            self.agreement_pct >= REQUIRED_AGREEMENT_PCT
+            and self.max_disagreement_distance <= MAX_DISAGREEMENT_DISTANCE
         )
 
 
@@ -72,47 +82,42 @@ class EquivarianceReport:
 
     n_motions: int
     max_deviation: float
-    tol: float
     error: SaddleBosError | ValueError | None = None
 
     @property
     def ok(self) -> bool:
-        return self.error is None and self.max_deviation <= self.tol
+        return self.error is None and self.max_deviation <= EQUIVARIANCE_TOL
 
 
 # ---------------------------------------------------------------------------
 # Point-in-polygon (even-odd rule)
 
 
-def _distance_to_edges(verts: np.ndarray, p: np.ndarray) -> float:
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    ab = b - a
-    t = np.clip(((p - a) * ab).sum(axis=1) / (ab * ab).sum(axis=1), 0.0, 1.0)
-    proj = a + t[:, None] * ab
-    return float(np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1]).min())
+def _segment_distance(qx, qy, ax, ay, dx, dy) -> np.ndarray:
+    """Elementwise distance from the points (qx, qy) to the segments that
+    start at (ax, ay) and run along (dx, dy)."""
+    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
+    return np.hypot(qx - (ax + t * dx), qy - (ay + t * dy))
 
 
-def _even_odd_inside(verts: np.ndarray, p: np.ndarray) -> bool:
-    x1, y1 = verts[:, 0], verts[:, 1]
-    nxt = np.roll(verts, -1, axis=0)
-    x2, y2 = nxt[:, 0], nxt[:, 1]
-    straddle = (y1 > p[1]) != (y2 > p[1])
-    if not straddle.any():
-        return False
-    xc = x1[straddle] + (p[1] - y1[straddle]) * (x2[straddle] - x1[straddle]) / (
-        y2[straddle] - y1[straddle]
+def _distance_to_edges(verts: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Distance from each of the (k, 2) points ``pts`` to the nearest edge
+    of the polygon ``verts``, a block of points at a time so that the
+    point-by-edge arrays stay small."""
+    ax, ay = verts.T
+    dx, dy = (np.roll(verts, -1, axis=0) - verts).T
+    blocks = np.split(pts, range(_DISTANCE_CHUNK, len(pts), _DISTANCE_CHUNK))
+    return np.concatenate(
+        [_segment_distance(q[:, :1], q[:, 1:], ax, ay, dx, dy).min(axis=1) for q in blocks]
     )
-    return int(np.count_nonzero(p[0] < xc)) % 2 == 1
 
 
 def point_in_polygon(polygon: Polygon2, p: Point2, tol: float = 1e-9) -> Containment:
     """Classify a point against a simple polygon with the even-odd rule;
-    points within ``tol`` of an edge are On."""
-    pt = p.as_array()
-    if _distance_to_edges(polygon.vertices, pt) <= tol:
-        return Containment.ON
-    return Containment.INSIDE if _even_odd_inside(polygon.vertices, pt) else Containment.OUTSIDE
+    points within ``tol`` of an edge are On.  One row of
+    :func:`classify_points`."""
+    code = classify_points(polygon, p.as_array()[None, :], tol)[0]
+    return {1: Containment.INSIDE, 0: Containment.ON, -1: Containment.OUTSIDE}[int(code)]
 
 
 def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -123,7 +128,7 @@ def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) ->
     within a margin (2 * tol plus four ulps of the largest |y|, so rounding
     cannot hide a point within tol) of the edge's y range.  Pairs inside the
     edge's half-open y interval decide the even-odd crossings, and a point
-    within tol of any of its edges, by ``_distance_to_edges``' formula, is On.
+    within tol of any of its edges, by ``_segment_distance``, is On.
     """
     verts = polygon.vertices
     points = np.asarray(points, dtype=float)
@@ -154,8 +159,7 @@ def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) ->
     inside = np.bincount(pt[crossing], minlength=len(points)) % 2 == 1
     codes = np.where(inside, 1, -1).astype(np.int8)
 
-    t = np.clip(((qx - ax) * dx + (qy - ay) * dy) / (dx * dx + dy * dy), 0.0, 1.0)
-    codes[pt[np.hypot(qx - (ax + t * dx), qy - (ay + t * dy)) <= tol]] = 0
+    codes[pt[_segment_distance(qx, qy, ax, ay, dx, dy) <= tol]] = 0
     return codes
 
 
@@ -195,11 +199,11 @@ def _ray_crossing_counts(verts: np.ndarray, n_rays: int) -> np.ndarray:
     return cum[:n_rays] + cum[n_rays:]
 
 
-def check_star_shape(boundary: BosBoundary, n: int = 3600) -> StarShapeReport:
-    """Verify that every ray from the stance origin crosses the sampled
-    boundary polygon exactly once."""
-    poly = sample_boundary(boundary, n)
-    counts = _ray_crossing_counts(poly.vertices, n)
+def check_star_shape(polygon: Polygon2) -> StarShapeReport:
+    """Verify that every ray from the stance origin crosses a sampled
+    boundary polygon exactly once, with one ray per vertex."""
+    n = len(polygon.vertices)
+    counts = _ray_crossing_counts(polygon.vertices, n)
     phis = (np.arange(n) + 0.5) * TWO_PI / n
     bad = counts != 1
     return StarShapeReport(
@@ -230,36 +234,27 @@ def check_convexity(polygon: Polygon2) -> bool:
 
 
 def check_containment_agreement(
-    boundary: BosBoundary,
-    n_vertices: int = 3600,
-    n_points: int = 100_000,
-    seed: int = 0,
-    tol: float = 1e-9,
-    required_agreement_pct: float = 99.8,
-    max_allowed_distance: float = 1e-6,
+    boundary: BosBoundary, n_points: int = 100_000, seed: int = 0
 ) -> AgreementReport:
     """Compare radial containment against even-odd containment on the
-    sampled polygon for uniform random points over the bounding box."""
+    boundary sampled at AGREEMENT_VERTICES angles, for uniform random points
+    over its bounding box."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
-    poly = sample_boundary(boundary, n_vertices)
+    poly = sample_boundary(boundary, AGREEMENT_VERTICES)
     lo, hi = poly.bounding_box()
     rng = seeded_rng(seed)
     points = rng.uniform((lo.x, lo.y), (hi.x, hi.y), size=(n_points, 2))
 
-    radial = classify_saddle_points(boundary, points, tol)
-    even_odd = classify_points(poly, points, tol)
-    disagree = np.nonzero(radial != even_odd)[0]
-    max_dist = max(
-        (_distance_to_edges(poly.vertices, points[i]) for i in disagree), default=0.0
-    )
+    radial = classify_saddle_points(boundary, points, AGREEMENT_TOL)
+    even_odd = classify_points(poly, points, AGREEMENT_TOL)
+    disagree = points[radial != even_odd]
+    max_dist = _distance_to_edges(poly.vertices, disagree).max() if len(disagree) else 0.0
     return AgreementReport(
         n_points=n_points,
         n_disagreements=len(disagree),
         agreement_pct=100.0 * (n_points - len(disagree)) / n_points,
         max_disagreement_distance=float(max_dist),
-        required_agreement_pct=required_agreement_pct,
-        max_allowed_distance=max_allowed_distance,
     )
 
 
@@ -267,31 +262,30 @@ def check_equivariance(
     left: FootPose,
     right: FootPose,
     n_motions: int = 10,
-    n_vertices: int = 360,
     seed: int = 0,
-    tol: float = 1e-9,
 ) -> EquivarianceReport:
     """Verify that rigid task-space motions commute with the boundary
-    pipeline: moving the feet then building the polygon matches building
-    the polygon then moving it.  A moved stance the pipeline rejects fails
-    the check with that error."""
+    pipeline: moving the feet then building the polygon, sampled at
+    EQUIVARIANCE_VERTICES angles, matches building the polygon then moving
+    it.  A moved stance the pipeline rejects fails the check with that
+    error."""
     if n_motions < 1:
         raise ValueError(f"n_motions must be at least 1, got {n_motions}")
     rng = seeded_rng(seed)
-    base = bos_polygon_task_space(left, right, n_vertices).vertices
+    base = bos_polygon_task_space(left, right, EQUIVARIANCE_VERTICES).vertices
     worst = 0.0
     for _ in range(n_motions):
         angle = rng.uniform(-math.pi, math.pi)
         shift = rng.uniform(-5.0, 5.0, size=2)
         try:
             moved_left, moved_right = transform_posture(left, right, angle, Point2(*shift))
-            got = bos_polygon_task_space(moved_left, moved_right, n_vertices).vertices
+            got = bos_polygon_task_space(moved_left, moved_right, EQUIVARIANCE_VERTICES).vertices
         except (SaddleBosError, ValueError) as exc:
             # the pipeline rejects a rigidly moved copy of a stance it built
-            return EquivarianceReport(n_motions=n_motions, max_deviation=worst, tol=tol, error=exc)
+            return EquivarianceReport(n_motions=n_motions, max_deviation=worst, error=exc)
         c, s = math.cos(angle), math.sin(angle)
         want_x = c * base[:, 0] - s * base[:, 1] + shift[0]
         want_y = s * base[:, 0] + c * base[:, 1] + shift[1]
         dev = float(np.hypot(got[:, 0] - want_x, got[:, 1] - want_y).max())
         worst = max(worst, dev)
-    return EquivarianceReport(n_motions=n_motions, max_deviation=worst, tol=tol)
+    return EquivarianceReport(n_motions=n_motions, max_deviation=worst)

@@ -232,8 +232,8 @@ def posture_from_parameters(
 ) -> PostureSpec:
     """Canonically placed stance: anchors on the task y axis at
     (0, +separation/2) and (0, -separation/2), angles in radians."""
-    if separation <= 0.0:
-        raise ValueError("separation must be positive")
+    if not (separation > 0.0 and math.isfinite(separation)):
+        raise ValueError(f"separation must be positive and finite, got {separation}")
     half = separation / 2.0
     return PostureSpec(
         name=name,

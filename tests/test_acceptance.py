@@ -36,6 +36,7 @@ from saddlebos import (
     to_task_space,
     transform_posture,
 )
+from saddlebos import oracle
 from saddlebos.geometry import _continuous_radii, _continuous_shape
 from saddlebos.oracle import (
     check_containment_agreement,
@@ -106,12 +107,11 @@ def test_criterion_2_transform_round_trip():
 def test_criterion_3_rigid_motion_equivariance():
     with criterion("3 rigid-motion equivariance"):
         t0 = time.perf_counter()
+        assert (oracle.EQUIVARIANCE_VERTICES, oracle.EQUIVARIANCE_TOL) == (360, 1e-9)
         postures = random_postures(100, seed=31)
         worst = 0.0
         for i, posture in enumerate(postures):
-            report = check_equivariance(
-                posture.left, posture.right, n_motions=10, n_vertices=360, seed=1000 + i,
-            )
+            report = check_equivariance(posture.left, posture.right, n_motions=10, seed=1000 + i)
             worst = max(worst, report.max_deviation)
         elapsed = time.perf_counter() - t0
         assert worst <= 1e-9, f"worst vertex deviation {worst:.3e} m"
@@ -120,16 +120,16 @@ def test_criterion_3_rigid_motion_equivariance():
 
 def test_criterion_4_containment_oracle_agreement():
     with criterion("4 containment oracle agreement"):
+        bounds = (
+            oracle.AGREEMENT_VERTICES,
+            oracle.AGREEMENT_TOL,
+            oracle.REQUIRED_AGREEMENT_PCT,
+            oracle.MAX_DISAGREEMENT_DISTANCE,
+        )
+        assert bounds == (3600, 1e-9, 99.8, 1e-6)
         t0 = time.perf_counter()
         for posture in posture_catalog():
-            report = check_containment_agreement(
-                posture.boundary(),
-                n_vertices=3600,
-                n_points=100_000,
-                seed=4,
-                required_agreement_pct=99.8,
-                max_allowed_distance=1e-6,
-            )
+            report = check_containment_agreement(posture.boundary(), n_points=100_000, seed=4)
             assert report.agreement_pct >= 99.8, posture.name
             assert report.max_disagreement_distance <= 1e-6, posture.name
         elapsed = time.perf_counter() - t0
@@ -140,9 +140,10 @@ def test_criterion_5_star_shape_and_convexity():
     with criterion("5 star shape and convexity"):
         stances = posture_catalog() + random_postures(100, seed=55)
         for posture in stances:
-            star = check_star_shape(posture.boundary(), n=3600)
+            polygon = sample_boundary(posture.boundary(), 3600)
+            star = check_star_shape(polygon)
             assert star.ok, (posture.name, star.violations[:3])
-            assert check_convexity(sample_boundary(posture.boundary(), 3600)), posture.name
+            assert check_convexity(polygon), posture.name
 
 
 def _scaled_trajectory(posture, factor, n=400, seed=6):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -903,6 +904,23 @@ def test_validate_runs_in_process_without_fork(monkeypatch, capsys):
     assert run_validate(monkeypatch, capsys, 2, VALIDATE_FAST) == serial
 
 
+PERFBENCH_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "digests.json"
+
+
+@pytest.mark.parametrize("label, argv", [
+    ("full", ["validate"]),
+    ("quarter", ["validate", "--random-postures", "0"]),
+])
+def test_validate_stdout_matches_the_recorded_digest(capsys, label, argv):
+    # the benchmark checks validate's output against these digests, so a
+    # change in its bytes fails here first
+    code = main(argv)
+    out = capsys.readouterr().out
+    recorded = json.loads(PERFBENCH_DIGESTS.read_text(encoding="utf-8"))["validate"][label]
+    assert hashlib.sha256(out.encode()).hexdigest() == recorded["stdout"]
+    assert code == (0 if json.loads(out)["passed"] else 1)
+
+
 def test_cli_imports_no_process_pool():
     code = ("import sys, saddlebos.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
@@ -998,6 +1016,7 @@ INFINITE_MESSAGE = "ValueError: foot length and width must be finite"
 FAR_APART_POSTURE = '{"separation": 1e200, "left_angle_deg": 90, "right_angle_deg": 90}'
 FAR_APART_MESSAGE = ("DegenerateGeometryError: edge slopes are undefined: "
                      "the feet's margins vanish in rounding next to the anchor separation\n")
+NAN_SEPARATION_POSTURE = '{"separation": NaN, "left_angle_deg": 90, "right_angle_deg": 90}'
 TOO_MANY_BINS = "n_bins must be at most 1000000, got 1000001"
 CONFIG_CORPUS = [
     ('{"contains_tol": 1e400}', "containment tol must be finite and at least 0, got inf"),
@@ -1037,6 +1056,13 @@ def corpus_argv(command, out, posture=None):
       for cmd in ("bos", "analyze", "validate")),
     *(pytest.param(cmd, FAR_APART_POSTURE, None, [], FAR_APART_MESSAGE, id=f"{cmd}-margins-lost")
       for cmd in ("bos", "analyze")),
+    # a non-finite separation, inline and from a posture file
+    *(pytest.param("bos", None, None, ["--d", d, "--theta-lf", "90", "--theta-rf", "90"],
+                   f"ValueError: separation must be positive and finite, got {d}\n",
+                   id=f"bos-d-{d}") for d in ("nan", "inf")),
+    *(pytest.param(cmd, NAN_SEPARATION_POSTURE, None, [],
+                   "ValueError: separation must be positive and finite, got nan\n",
+                   id=f"{cmd}-nan-separation") for cmd in ("bos", "analyze")),
 ])
 def test_malformed_input_exits_2_and_writes_nothing(
     tmp_path, capsys, monkeypatch, command, posture, config, flags, message

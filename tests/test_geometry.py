@@ -677,6 +677,6 @@ def test_a_stance_is_built_with_a_usable_boundary_or_rejected(data):
         theta = np.arctan2(verts[:, 1], verts[:, 0])
         gaps = np.abs(np.mod(np.roll(theta, -1) - theta + math.pi, TWO_PI) - math.pi)
         assert gaps.max() < math.pi - 1e-9
-    assert check_star_shape(boundary, 720).ok
+    assert check_star_shape(sample_boundary(boundary, 720)).ok
     assert contains(boundary, Point2(*verts[0])) in Containment
     bos_polygon_task_space(left, right)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saddlebos import (
     Containment,
@@ -26,6 +26,7 @@ from saddlebos.oracle import (
     point_in_polygon,
 )
 
+import even_odd_reference as reference
 from helpers import parallel_posture
 
 
@@ -89,7 +90,7 @@ def assert_matches_scalar(polygon, pts, name=""):
     bad = [
         (x, y, names[int(code)])
         for code, (x, y) in zip(codes, pts)
-        if names[int(code)] is not point_in_polygon(polygon, Point2(x, y))
+        if names[int(code)] is not reference.point_in_polygon(polygon, Point2(x, y))
     ]
     assert not bad, (name, bad[:5])
 
@@ -155,23 +156,33 @@ def test_classify_points_matches_scalar_on_star_polygons(gaps, radii, seed):
     assert_matches_scalar(polygon, np.vstack((pts, edge_probes(polygon.vertices))))
 
 
+def test_distance_to_edges_matches_the_reference_bit_for_bit():
+    # 600 points span three of the kernel's blocks
+    polygon = stance_polygon(random_postures(1, seed=3)[0])
+    lo, hi = polygon.bounding_box()
+    pts = np.random.default_rng(2).uniform((lo.x, lo.y), (hi.x, hi.y), (600, 2))
+    want = [reference.distance_to_edges(polygon.vertices, p) for p in pts]
+    assert oracle._distance_to_edges(polygon.vertices, pts).tolist() == want
+    assert oracle._distance_to_edges(polygon.vertices, pts[:0]).shape == (0,)
+
+
 # --- star shape ---------------------------------------------------------------
 
 
 def test_star_shape_parallel_posture():
-    report = check_star_shape(parallel_posture().boundary(), n=3600)
+    report = check_star_shape(sample_boundary(parallel_posture().boundary(), 3600))
     assert report.ok
     assert report.n_rays == 3600
     assert set(report.crossings) == {1}
 
 
 def test_star_shape_minimal_run():
-    report = check_star_shape(parallel_posture().boundary(), n=16)
+    report = check_star_shape(sample_boundary(parallel_posture().boundary(), 16))
     assert len(report.crossings) == 16
     assert report.ok
 
 
-def test_star_shape_detects_negated_right_reach(monkeypatch):
+def test_star_shape_detects_negated_right_reach():
     # the shape stage rejects a right cap on the left side, so the polygon it
     # would sample is built here: the right cap's vertices mirrored through
     # the origin onto the left cap's side
@@ -179,8 +190,7 @@ def test_star_shape_detects_negated_right_reach(monkeypatch):
     verts = sample_boundary(boundary, 720).vertices.copy()
     right_cap = np.isclose(np.hypot(*verts.T), -boundary.params.reach_right) & (verts[:, 1] < 0.0)
     verts[right_cap] *= -1.0
-    monkeypatch.setattr(oracle, "sample_boundary", lambda boundary, n: Polygon2(verts))
-    report = check_star_shape(boundary, n=720)
+    report = check_star_shape(Polygon2(verts))
     assert not report.ok
     assert len(report.violations) > 0
 
@@ -188,7 +198,7 @@ def test_star_shape_detects_negated_right_reach(monkeypatch):
 def test_star_shape_counts_match_explicit_rays():
     # difference-array counting agrees with a brute-force segment test
     poly = sample_boundary(parallel_posture().boundary(), 48)
-    report = check_star_shape(parallel_posture().boundary(), n=48)
+    report = check_star_shape(poly)
     verts = poly.vertices
     nxt = np.roll(verts, -1, axis=0)
     for j in range(48):
@@ -253,7 +263,35 @@ def test_containment_agreement_fails_a_radius_off_by_1e_4(monkeypatch, index):
     )
     report = check_containment_agreement(boundary, n_points=20_000, seed=index)
     assert not report.ok
-    assert report.max_disagreement_distance > report.max_allowed_distance
+    assert report.max_disagreement_distance > oracle.MAX_DISAGREEMENT_DISTANCE
+
+
+def cornered_polygon(boundary):
+    """The boundary sampled at 3600 angles plus its four corners, where a cap
+    meets a straight edge, in polar-angle order.  A corner within 1e-12 m of
+    a sample is left out."""
+    p = boundary.params
+    ax, bx = abs(p.span_left), abs(p.span_right)
+    h_left = math.sqrt(p.reach_left**2 - ax**2)
+    h_right = math.sqrt(p.reach_right**2 - bx**2)
+    samples = sample_boundary(boundary, 3600).vertices
+    corners = np.array([(ax, h_left), (-ax, h_left), (bx, -h_right), (-bx, -h_right)])
+    new = [np.hypot(*(samples - c).T).min() > 1e-12 for c in corners]
+    verts = np.vstack((samples, corners[new]))
+    return Polygon2(verts[np.argsort(np.arctan2(verts[:, 1], verts[:, 0]))])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+@example(seed=12)  # without its corners, a point 4.0e-5 m off the 3600-gon disagrees
+def test_radial_and_even_odd_containment_agree_on_the_cornered_polygon(seed):
+    boundary = random_postures(1, seed)[0].boundary()
+    polygon = cornered_polygon(boundary)
+    lo, hi = polygon.bounding_box()
+    pts = np.random.default_rng(seed).uniform((lo.x, lo.y), (hi.x, hi.y), (20_000, 2))
+    disagree = pts[classify_saddle_points(boundary, pts, 1e-9) != classify_points(polygon, pts, 1e-9)]
+    assert 100.0 * (len(pts) - len(disagree)) / len(pts) >= 99.8
+    assert oracle._distance_to_edges(polygon.vertices, disagree).max(initial=0.0) <= 1e-6
 
 
 def test_agreement_consistent_with_classifiers():
