@@ -33,10 +33,12 @@ from .geometry import (
     bos_polygon_task_space,
     boundary_point,
     classify_saddle_points,
+    classify_saddle_polar,
     contains,
     derive_bos_params,
     polygon_to_task_space,
     saddle_frame_from_ecops,
+    saddle_polar,
     sample_boundary,
     to_saddle_space,
     to_task_space,

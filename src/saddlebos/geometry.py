@@ -155,12 +155,14 @@ class FootPose:
     side: Side
 
     def __post_init__(self):
-        if not math.isfinite(self.orientation):
-            raise ValueError("orientation must be finite")
-        if not (self.length > 0.0 and self.width > 0.0):
-            raise ValueError("foot length and width must be positive")
-        if not (math.isfinite(self.length) and math.isfinite(self.width)):
-            raise ValueError("foot length and width must be finite")
+        for name in ("orientation", "length", "width"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{self.side.value} foot {name} must be finite, got {value}")
+        for name in ("length", "width"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{self.side.value} foot {name} must be positive, got {value}")
         object.__setattr__(self, "orientation", wrap_positive(self.orientation))
 
 
@@ -566,13 +568,35 @@ def contains(
     return {1: Containment.INSIDE, 0: Containment.ON, -1: Containment.OUTSIDE}[int(codes[0])]
 
 
+def saddle_polar(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Radius and polar angle in [-pi, pi] of each (n, 2) Saddle-space point
+    about the stance origin: the polar pass that containment runs."""
+    pts = np.asarray(pts, dtype=float)
+    return np.hypot(pts[:, 0], pts[:, 1]), np.arctan2(pts[:, 1], pts[:, 0])
+
+
+def classify_saddle_polar(
+    boundary: BosBoundary,
+    radii: np.ndarray,
+    phis: np.ndarray,
+    tol: float = DEFAULT_CONTAINS_TOL,
+) -> np.ndarray:
+    """:func:`classify_saddle_points` of the points whose polar coordinates
+    about the stance origin are ``radii`` and ``phis``, as
+    :func:`saddle_polar` gives them (angles in [-pi, pi])."""
+    radii, phis = np.asarray(radii, dtype=float), np.asarray(phis, dtype=float)
+    if radii.ndim != 1 or radii.shape != phis.shape:
+        raise ValueError("need one radius and one angle per point")
+    return _classify(_continuous(boundary), radii, phis, tol)
+
+
 def classify_saddle_points(
     boundary: BosBoundary, pts: np.ndarray, tol: float = DEFAULT_CONTAINS_TOL
 ) -> np.ndarray:
     """Vectorized containment codes for (n, 2) Saddle-space points: +1
     inside, 0 on the boundary (within ``tol``), -1 outside.  It shares its
     per-sample kernel with :func:`classify_task_segments`."""
-    return _classify(_continuous(boundary), np.asarray(pts, dtype=float), tol)
+    return classify_saddle_polar(boundary, *saddle_polar(pts), tol)
 
 
 def classify_task_segments(
@@ -598,7 +622,7 @@ def classify_task_segments(
         )
     cols = table[np.arange(len(task_pts)) // step].T
     saddle_pts = _to_saddle(task_pts, *cols[:4])
-    return saddle_pts, _classify(_ContinuousShape(*cols[4:]), saddle_pts, tol)
+    return saddle_pts, _classify(_ContinuousShape(*cols[4:]), *saddle_polar(saddle_pts), tol)
 
 
 def stance_rows_from_feet(left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -628,11 +652,9 @@ def _continuous(boundary: BosBoundary) -> _ContinuousShape:
     return boundary._shape
 
 
-def _classify(shape: _ContinuousShape, pts: np.ndarray, tol: float) -> np.ndarray:
+def _classify(shape: _ContinuousShape, r_p: np.ndarray, phi: np.ndarray, tol: float) -> np.ndarray:
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"containment tol must be finite and at least 0, got {tol}")
-    r_p = np.hypot(pts[:, 0], pts[:, 1])
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
     r_b = _continuous_radii(shape, phi)
     codes = np.where(r_p < r_b, 1, -1).astype(np.int8)
     codes[np.abs(r_p - r_b) <= tol] = 0

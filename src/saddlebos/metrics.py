@@ -26,7 +26,9 @@ from .geometry import (
     Point2,
     SaddleFrame,
     classify_saddle_points,
+    classify_saddle_polar,
     saddle_array_from_task,
+    saddle_polar,
 )
 
 #: Most angular sectors an outer border may use; its per-sector arrays are O(n_bins).
@@ -100,24 +102,27 @@ def poi(
     return _inside_pct(classify_saddle_points(boundary, pts, tol))
 
 
-def _outer_border_indices(pts: np.ndarray, n_bins: int, about: str) -> np.ndarray:
-    """Index of the farthest sample per nonempty angular sector about the
-    origin or the mean sample (``about``), ordered by sector: the binning
-    every outer-border consumer shares.  Of equally far samples in a sector
-    the latest (largest index) is kept.  Linear time, no sort: one
-    scatter-max pass finds each sector's peak radius, a second the last
-    sample at that peak."""
+def _polar_about(pts: np.ndarray, about: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`saddle_polar` of (n, 2) Saddle-space samples about the outer
+    border's binning centre: the stance origin or the mean sample (``about``)."""
+    if about not in ("origin", "mean"):
+        raise ValueError(f"about must be 'origin' or 'mean', got {about!r}")
+    return saddle_polar(pts - pts.mean(axis=0) if about == "mean" else pts)
+
+
+def _outer_border_indices(radii: np.ndarray, phis: np.ndarray, n_bins: int) -> np.ndarray:
+    """Index of the farthest sample per nonempty angular sector, ordered by
+    sector, from the samples' radii and angles in [-pi, pi] about the binning
+    centre: the binning every outer-border consumer shares.  Of equally far
+    samples in a sector the latest (largest index) is kept.  Linear time, no
+    sort: one scatter-max pass finds each sector's peak radius, a second the
+    last sample at that peak."""
     if n_bins < 8:
         raise ValueError(f"n_bins must be at least 8, got {n_bins}")
     if n_bins > MAX_BINS:
         raise ValueError(f"n_bins must be at most {MAX_BINS}, got {n_bins}")
-    if about not in ("origin", "mean"):
-        raise ValueError(f"about must be 'origin' or 'mean', got {about!r}")
-    rel = pts - pts.mean(axis=0) if about == "mean" else pts
-    radii = np.hypot(rel[:, 0], rel[:, 1])
-    phi = np.arctan2(rel[:, 1], rel[:, 0])
-    # np.mod(phi, TWO_PI) bit for bit, apart from -0.0, which is bin 0 either way
-    angles = np.where(phi < 0.0, phi + TWO_PI, phi)
+    # np.mod(phis, TWO_PI) bit for bit, apart from -0.0, which is bin 0 either way
+    angles = np.where(phis < 0.0, phis + TWO_PI, phis)
     bins = np.minimum((angles / (TWO_PI / n_bins)).astype(int), n_bins - 1)
     peak = np.full(n_bins, -np.inf)
     np.maximum.at(peak, bins, radii)
@@ -142,7 +147,7 @@ def outer_border(
     stance origin (default) or the mean sample position.
     """
     pts = saddle_array_from_task(frame, traj.points)
-    return pts[_outer_border_indices(pts, n_bins, about)]
+    return pts[_outer_border_indices(*_polar_about(pts, about), n_bins)]
 
 
 def poi360(
@@ -167,7 +172,9 @@ def covariance_ellipse(traj: ComTrajectory, k_sigma: float = 2.0) -> CovarianceE
         raise ValueError("covariance ellipse needs at least 3 samples")
     pts = traj.points
     center = pts.mean(axis=0)
-    cov = np.cov(pts.T, ddof=1)
+    # np.cov(pts.T, ddof=1) bit for bit, without computing the mean again
+    dev = pts - center
+    cov = np.dot(dev.T, dev) * np.true_divide(1, len(pts) - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
     if eigvals[0] < 1e-12:
         raise DegenerateCovarianceError(
@@ -199,14 +206,8 @@ def score_saddle_samples(
     saddle_pts = np.asarray(saddle_pts, dtype=float)
     if not np.all(np.isfinite(saddle_pts)):
         raise ValueError("Saddle-space points must be finite")
-    idx = _outer_border_indices(saddle_pts, n_bins, about)
-    return MetricsReport(
-        poi=_inside_pct(codes),
-        poi360=_inside_pct(codes[idx]),
-        n_samples=len(traj),
-        n_outer=len(idx),
-        covariance_ellipse=covariance_ellipse(traj, k_sigma),
-    )
+    border = _outer_border_indices(*_polar_about(saddle_pts, about), n_bins)
+    return _score(traj, codes, border, k_sigma)
 
 
 def compute_report(
@@ -218,7 +219,30 @@ def compute_report(
     tol: float = DEFAULT_CONTAINS_TOL,
     about: str = "origin",
 ) -> MetricsReport:
-    """Full metrics bundle for one trajectory against one boundary."""
+    """Full metrics bundle for one trajectory against one boundary: the
+    :func:`score_saddle_samples` of its Saddle-space samples and their codes.
+    One polar pass about the stance origin serves the classifier and, for
+    ``about="origin"``, the outer border."""
     pts = saddle_array_from_task(frame, traj.points)
-    codes = classify_saddle_points(boundary, pts, tol)
-    return score_saddle_samples(traj, pts, codes, n_bins, k_sigma, about)
+    polar = saddle_polar(pts)
+    codes = classify_saddle_polar(boundary, *polar, tol)
+    if about != "origin":  # the border bins about another centre
+        polar = _polar_about(pts, about)
+    border = _outer_border_indices(*polar, n_bins)
+    del polar  # not alive while the ellipse is built
+    return _score(traj, codes, border, k_sigma)
+
+
+def _score(
+    traj: ComTrajectory, codes: np.ndarray, border: np.ndarray, k_sigma: float
+) -> MetricsReport:
+    """The report of a trajectory from its samples' containment codes and its
+    outer border's indices: the one scorer behind :func:`compute_report` and
+    :func:`score_saddle_samples`."""
+    return MetricsReport(
+        poi=_inside_pct(codes),
+        poi360=_inside_pct(codes[border]),
+        n_samples=len(traj),
+        n_outer=len(border),
+        covariance_ellipse=covariance_ellipse(traj, k_sigma),
+    )

@@ -1011,7 +1011,7 @@ OVERFLOW_POSTURE = ('{"separation": 0.3, "left_angle_deg": 180, "right_angle_deg
 OVERFLOW_MESSAGE = "DegenerateGeometryError: boundary is too large: a cap radius squared overflows"
 INFINITE_POSTURE = ('{"separation": 0.3, "left_angle_deg": 90, "right_angle_deg": 90, '
                     '"foot_length": Infinity}')
-INFINITE_MESSAGE = "ValueError: foot length and width must be finite"
+INFINITE_MESSAGE = "ValueError: left foot length must be finite, got inf\n"
 # feet whose margins, 0.05 and -0.05 m, vanish in rounding next to the separation
 FAR_APART_POSTURE = '{"separation": 1e200, "left_angle_deg": 90, "right_angle_deg": 90}'
 FAR_APART_MESSAGE = ("DegenerateGeometryError: edge slopes are undefined: "
@@ -1056,6 +1056,15 @@ def corpus_argv(command, out, posture=None):
       for cmd in ("bos", "analyze", "validate")),
     *(pytest.param(cmd, FAR_APART_POSTURE, None, [], FAR_APART_MESSAGE, id=f"{cmd}-margins-lost")
       for cmd in ("bos", "analyze")),
+    # a non-finite inline foot names its side, its field and its value
+    *(pytest.param("bos", None, None, ["--d", "0.3", "--theta-lf", lf, "--theta-rf", rf] + extra,
+                   f"ValueError: {message}\n", id=f"bos-{label}")
+      for label, lf, rf, extra, message in (
+          ("nan-foot-length", "90", "90", ["--foot-length", "nan"],
+           "left foot length must be finite, got nan"),
+          ("nan-orientation", "nan", "90", [], "left foot orientation must be finite, got nan"),
+          ("inf-orientation", "90", "inf", [], "right foot orientation must be finite, got inf"),
+      )),
     # a non-finite separation, inline and from a posture file
     *(pytest.param("bos", None, None, ["--d", d, "--theta-lf", "90", "--theta-rf", "90"],
                    f"ValueError: separation must be positive and finite, got {d}\n",

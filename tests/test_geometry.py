@@ -32,6 +32,7 @@ from saddlebos.geometry import (
     MAX_BOUNDARY_SAMPLES,
     BoundaryMode,
     classify_saddle_points,
+    classify_saddle_polar,
     classify_task_segments,
     saddle_array_from_task,
     stance_rows_from_feet,
@@ -392,6 +393,13 @@ def test_contains_strict_mode_refused():
         contains(strict, Point2(0, 0))
 
 
+def test_classify_saddle_polar_needs_one_angle_per_radius():
+    boundary = parallel_posture().boundary()
+    for radii, phis in ((np.ones(3), np.zeros(2)), (np.ones((3, 1)), np.zeros((3, 1)))):
+        with pytest.raises(ValueError, match="^need one radius and one angle per point$"):
+            classify_saddle_polar(boundary, radii, phis)
+
+
 # --- per-segment classification ---------------------------------------------
 
 
@@ -532,14 +540,28 @@ def test_foot_pose_validation():
 
 
 @pytest.mark.parametrize("length, width, message", [
-    (math.inf, 0.10, "foot length and width must be finite"),
-    (0.25, math.inf, "foot length and width must be finite"),
-    (math.nan, 0.10, "foot length and width must be positive"),
-    (-math.inf, 0.10, "foot length and width must be positive"),
+    pytest.param(math.inf, 0.10, "left foot length must be finite, got inf", id="inf-length"),
+    pytest.param(0.25, math.inf, "left foot width must be finite, got inf", id="inf-width"),
+    pytest.param(math.nan, 0.10, "left foot length must be finite, got nan", id="nan-length"),
+    pytest.param(-math.inf, 0.10, "left foot length must be finite, got -inf", id="-inf-length"),
 ])
 def test_foot_pose_rejects_non_finite_dimensions(length, width, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         FootPose(Point2(0, 0), 0.0, length, width, Side.LEFT)
+
+
+@pytest.mark.parametrize("orientation, length, width, message", [
+    (math.nan, 0.25, 0.10, "right foot orientation must be finite, got nan"),
+    (-math.inf, 0.25, 0.10, "right foot orientation must be finite, got -inf"),
+    # finiteness is checked before sign, field by field
+    (math.nan, -0.25, 0.10, "right foot orientation must be finite, got nan"),
+    (0.0, -0.25, math.nan, "right foot width must be finite, got nan"),
+    (0.0, 0.0, 0.10, "right foot length must be positive, got 0.0"),
+    (0.0, 0.25, -0.10, "right foot width must be positive, got -0.1"),
+])
+def test_foot_pose_names_the_side_the_field_and_the_value(orientation, length, width, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FootPose(Point2(0, 0), orientation, length, width, Side.RIGHT)
 
 
 def test_polygon_validation():

@@ -7,22 +7,32 @@ from hypothesis import given, settings, strategies as st
 from saddlebos import (
     BosBoundary,
     ComTrajectory,
+    CovarianceEllipse,
     DegenerateCovarianceError,
     EmptyTrajectoryError,
     Point2,
     compute_report,
     covariance_ellipse,
     classify_saddle_points,
+    classify_saddle_polar,
     outer_border,
     poi,
     poi360,
+    random_postures,
+    saddle_polar,
     score_saddle_samples,
     to_task_space,
     transform_posture,
     saddle_frame_from_ecops,
     derive_bos_params,
 )
-from saddlebos.geometry import TWO_PI, _continuous_radii, _continuous_shape, saddle_array_from_task
+from saddlebos.geometry import (
+    TWO_PI,
+    _continuous_radii,
+    _continuous_shape,
+    saddle_array_from_task,
+    task_array_from_saddle,
+)
 from saddlebos.metrics import MAX_BINS
 
 from helpers import parallel_posture
@@ -189,7 +199,7 @@ def lexsort_outer_border_indices(pts, n_bins, about):
 def test_outer_border_indices_equal_the_lexsort_reference(
     seed, n, n_bins, about, decimals, quarter_plane
 ):
-    from saddlebos.metrics import _outer_border_indices
+    from saddlebos.metrics import _outer_border_indices, _polar_about
 
     rng = np.random.default_rng(seed)
     # a coarse grid and repeated rows force exact radius ties within a sector
@@ -210,7 +220,7 @@ def test_outer_border_indices_equal_the_lexsort_reference(
     swap = rng.random(n) < 0.3
     pts[swap] = special[rng.integers(0, len(special), np.count_nonzero(swap))]
     want = lexsort_outer_border_indices(pts, n_bins, about)
-    got = _outer_border_indices(pts, n_bins, about)
+    got = _outer_border_indices(*_polar_about(pts, about), n_bins)
     assert np.array_equal(got, want)
     assert got.dtype == want.dtype
 
@@ -228,6 +238,25 @@ def test_compute_report_sorts_nothing(monkeypatch):
     report = compute_report(traj, posture.boundary(), posture.frame())
     assert report.n_samples == 10_000
     assert 0 < report.n_outer <= 360
+
+
+@pytest.mark.parametrize("about, passes", [("origin", 1), ("mean", 2)])
+def test_compute_report_takes_one_polar_pass_per_centre(monkeypatch, about, passes):
+    # the classifier and an origin-centred border share one pass; a border
+    # about the mean takes its own
+    posture = parallel_posture()
+    frame, boundary = posture.frame(), posture.boundary()
+    points = np.random.default_rng(6).normal(0.0, 0.05, (1000, 2))
+    traj = ComTrajectory(0.01 * np.arange(1000), points)
+    calls = {"hypot": 0, "arctan2": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(np, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np, name, counted)
+    compute_report(traj, boundary, frame, about=about)
+    assert calls == {"hypot": passes, "arctan2": passes}
 
 
 # --- poi360 -------------------------------------------------------------------
@@ -263,7 +292,7 @@ def test_poi360_ignores_dominated_samples():
     phis = rng.uniform(-math.pi, math.pi, 200)
     radii = rng.uniform(0.05, 0.25, 200)
     saddle = np.column_stack((radii * np.cos(phis), radii * np.sin(phis)))
-    border_idx = np.sort(_outer_border_indices(saddle, 360, "origin"))
+    border_idx = np.sort(_outer_border_indices(*saddle_polar(saddle), 360))
     assert len(border_idx) < len(saddle)  # some samples are dominated
     traj_full = saddle_traj_to_task(posture.frame(), saddle)
     traj_border_only = saddle_traj_to_task(posture.frame(), saddle[border_idx])
@@ -326,6 +355,45 @@ def test_covariance_ellipse_needs_three_samples():
         covariance_ellipse(traj_from_xy([[0.0, 0.0], [1.0, 1.0]]))
 
 
+def np_cov_ellipse(pts, k_sigma):
+    """The ellipse built from ``np.cov``, the reference the centred product
+    in :func:`covariance_ellipse` must equal bit for bit; None when the
+    cloud is degenerate."""
+    eigvals, eigvecs = np.linalg.eigh(np.cov(pts.T, ddof=1))
+    if eigvals[0] < 1e-12:
+        return None
+    major = eigvecs[:, 1]
+    return CovarianceEllipse(
+        center=Point2(*pts.mean(axis=0)),
+        semi_axes=(k_sigma * math.sqrt(eigvals[1]), k_sigma * math.sqrt(eigvals[0])),
+        orientation=math.atan2(major[1], major[0]) % math.pi,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 20_000),
+    center=st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    spreads=st.tuples(st.floats(1e-3, 1.0), st.floats(1e-3, 1.0)),
+    angle=st.floats(0.0, math.pi),
+    k_sigma=st.sampled_from([1.0, 2.0, 2.4477]),
+)
+def test_covariance_ellipse_equals_the_np_cov_reference(seed, n, center, spreads, angle, k_sigma):
+    rng = np.random.default_rng(seed)
+    c, s = math.cos(angle), math.sin(angle)
+    pts = rng.normal(0.0, 1.0, (n, 2)) * spreads @ np.array([[c, s], [-s, c]]) + center
+    traj = traj_from_xy(pts)
+    want = np_cov_ellipse(traj.points, k_sigma)
+    if want is None:
+        with pytest.raises(DegenerateCovarianceError):
+            covariance_ellipse(traj, k_sigma)
+        return
+    got = covariance_ellipse(traj, k_sigma)
+    assert got == want
+    assert repr(got) == repr(want)  # -0.0 against 0.0 as well
+
+
 @pytest.mark.parametrize("k_sigma", [0.0, -1.0, math.inf, math.nan])
 def test_covariance_ellipse_rejects_bad_k_sigma(k_sigma):
     pts = np.array([[0.2, 0.0], [-0.2, 0.0], [0.0, 0.1], [0.0, -0.1]])
@@ -381,3 +449,31 @@ def test_compute_report_scores_its_saddle_samples():
         score_saddle_samples(traj, saddle, codes, about="centroid")
     with pytest.raises(ValueError, match="one code per"):
         score_saddle_samples(traj, saddle, codes[:-1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 5000),
+    n_bins=st.integers(8, 720),
+    about=st.sampled_from(["origin", "mean"]),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+)
+def test_compute_report_is_one_scoring_path(seed, n, n_bins, about, tol):
+    posture = random_postures(1, seed=seed)[0]
+    frame, boundary = posture.frame(), posture.boundary()
+    rng = np.random.default_rng(seed)
+    phis = rng.uniform(-math.pi, math.pi, n)
+    # around the boundary, with some samples on it and some at the origin
+    factors = np.where(rng.random(n) < 0.1, 1.0, rng.uniform(0.8, 1.2, n))
+    factors[rng.random(n) < 0.02] = 0.0
+    radii = factors * _continuous_radii(boundary._shape, phis)
+    saddle = np.column_stack((radii * np.cos(phis), radii * np.sin(phis)))
+    traj = traj_from_xy(task_array_from_saddle(frame, saddle))
+    s = saddle_array_from_task(frame, traj.points)
+    codes = classify_saddle_points(boundary, s, tol)
+    polar_codes = classify_saddle_polar(boundary, *saddle_polar(s), tol)
+    assert np.array_equal(polar_codes, codes)
+    assert polar_codes.dtype == codes.dtype
+    report = compute_report(traj, boundary, frame, n_bins, 2.0, tol, about)
+    assert report == score_saddle_samples(traj, s, codes, n_bins, 2.0, about)
