@@ -85,11 +85,14 @@ def _wrap_signed_array(angle: np.ndarray) -> np.ndarray:
     return np.where(a == -math.pi, math.pi, a)
 
 
-# numpy's arctan2, hypot and square round differently from the math module in
-# the last bit, so the stance stages call the math functions element by element
+# numpy's arctan2, hypot, square, cos and sin may round differently from the
+# math module in the last bit, so the stance stages and strict sampling call
+# the math functions element by element
 _ATAN2 = np.frompyfunc(math.atan2, 2, 1)
 _HYPOT = np.frompyfunc(math.hypot, 2, 1)
 _POW = np.frompyfunc(math.pow, 2, 1)
+_COS = np.frompyfunc(math.cos, 1, 1)
+_SIN = np.frompyfunc(math.sin, 1, 1)
 
 
 def math_atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -507,24 +510,20 @@ def _continuous_radii(shape: _ContinuousShape, phis: np.ndarray) -> np.ndarray:
     return r
 
 
-def _strict_point(params: BosParams, phi: float) -> Point2:
-    """Evaluate the piecewise strict-mode formulas at one direction angle in
-    [0, 2*pi)."""
-    if phi < math.pi:
-        y = params.reach_left * math.cos(phi)
-        x_arc = params.reach_left * math.sin(phi)
-        limit = abs(params.span_left)
-    else:
-        y = params.reach_right * math.cos(phi)
-        x_arc = params.reach_right * math.sin(phi)
-        limit = abs(params.span_right)
-    if abs(x_arc) <= limit:
-        x = x_arc
-    elif math.pi / 2.0 <= phi < 3.0 * math.pi / 2.0:
-        x = params.slope_back * y - params.span_right
-    else:
-        x = params.slope_front * y + params.span_right
-    return Point2(x, y)
+def _strict_points(params: BosParams, phis: np.ndarray) -> np.ndarray:
+    """(n, 2) points of the piecewise strict-mode formulas at direction
+    angles ``phis`` in [0, 2*pi), branch by branch: the arc of the cap on
+    the angle's side while its abscissa stays within that side's span, else
+    the back or front edge line."""
+    left = phis < math.pi
+    reach = np.where(left, params.reach_left, params.reach_right)
+    y = reach * _COS(phis).astype(float)
+    x_arc = reach * _SIN(phis).astype(float)
+    back = (math.pi / 2.0 <= phis) & (phis < 3.0 * math.pi / 2.0)
+    line = np.where(back, params.slope_back * y - params.span_right,
+                    params.slope_front * y + params.span_right)
+    limit = np.where(left, abs(params.span_left), abs(params.span_right))
+    return np.column_stack((np.where(np.abs(x_arc) <= limit, x_arc, line), y))
 
 
 def boundary_point(boundary: BosBoundary, phi: float) -> Point2:
@@ -538,7 +537,7 @@ def boundary_point(boundary: BosBoundary, phi: float) -> Point2:
     if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     if boundary.mode is BoundaryMode.STRICT:
-        return _strict_point(boundary.params, wrap_positive(phi))
+        return Point2(*_strict_points(boundary.params, np.array([wrap_positive(phi)]))[0].tolist())
     w = wrap_signed(phi)
     r = float(_continuous_radii(boundary._shape, np.array([w]))[0])
     return Point2(r * math.cos(w), r * math.sin(w))
@@ -551,7 +550,7 @@ def sample_boundary(boundary: BosBoundary, n: int) -> Polygon2:
         raise ValueError(f"boundary sample count must lie in [3, {MAX_BOUNDARY_SAMPLES}], got {n}")
     phis = TWO_PI * np.arange(n) / n
     if boundary.mode is BoundaryMode.STRICT:
-        verts = np.array([tuple(_strict_point(boundary.params, p)) for p in phis])
+        verts = _strict_points(boundary.params, phis)
     else:
         wrapped = np.mod(phis + math.pi, TWO_PI) - math.pi
         r = _continuous_radii(boundary._shape, wrapped)

@@ -69,6 +69,9 @@ _NUMBER_BYTES = b"0123456789.eE+-,\n"
 _HEADER_LETTERS = _HEADER_LINE.translate(None, _NUMBER_BYTES)
 # a newline that opens a blank line or a row with a blank time
 _BLANK_LINE_OR_TIME = re.compile(rb"\n[\n,]")
+_COMMA, _NEWLINE = b",\n"
+# bytes per block of the blank-cell scan: its masks stay small beside the file
+_SCAN_BLOCK = 1 << 16
 
 DEFAULT_FOOT_LENGTH = 0.25
 DEFAULT_FOOT_WIDTH = 0.10
@@ -129,15 +132,16 @@ def _read_columns(path) -> MarkerTrial | None:
 def _fill_blank_cells(data: bytes) -> bytes:
     """``data`` with ``nan`` after every comma that ends a blank cell (one
     followed by a comma or a newline); ``data`` itself when there is none."""
-    cuts = []
-    for pattern in (b",,", b",\n"):
-        at = data.find(pattern)
-        while at >= 0:
-            cuts.append(at + 1)
-            at = data.find(pattern, at + 1)
+    byte = np.frombuffer(data, np.uint8)
+    found = []
+    for lo in range(0, len(byte) - 1, _SCAN_BLOCK):
+        pair = byte[lo : lo + _SCAN_BLOCK + 1]  # each byte of the block and the next
+        after = pair[1:]
+        blank = (pair[:-1] == _COMMA) & ((after == _COMMA) | (after == _NEWLINE))
+        found.append(np.flatnonzero(blank) + (lo + 1))
+    cuts = np.concatenate(found).tolist() if found else []
     if not cuts:
         return data
-    cuts.sort()
     view = memoryview(data)
     pieces = []
     prev = 0

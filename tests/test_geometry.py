@@ -42,6 +42,7 @@ from saddlebos.oracle import check_star_shape
 from saddlebos.trial_io import posture_from_parameters, random_postures
 
 import stance_reference as reference
+from strict_reference import strict_point
 from helpers import parallel_posture, rotate_xy
 
 
@@ -333,6 +334,28 @@ def test_sample_boundary_rejects_counts_above_the_bound():
     # the check runs before anything is allocated; a count this large is never sampled
     with pytest.raises(ValueError, match=f"got {MAX_BOUNDARY_SAMPLES + 1}$"):
         sample_boundary(parallel_posture().boundary(), MAX_BOUNDARY_SAMPLES + 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 2000),
+    phis=st.lists(st.floats(-20.0, 20.0), max_size=20),
+)
+def test_strict_points_equal_the_scalar_formulas(seed, n, phis):
+    posture = random_postures(1, seed=seed)[0]
+    strict = BosBoundary(posture.params(), posture.frame(), BoundaryMode.STRICT)
+    grid = TWO_PI * np.arange(n) / n
+    want = np.array([tuple(strict_point(strict.params, p)) for p in grid])
+    assert sample_boundary(strict, n).vertices.tobytes() == want.tobytes()
+    # the branch edges, the angles just beside them, and arbitrary angles
+    quarters = [k * math.pi / 2.0 for k in range(4)]
+    edges = quarters + [math.nextafter(q, side) for q in quarters for side in (-math.inf, math.inf)]
+    for phi in edges + phis:
+        got = boundary_point(strict, phi)
+        want = strict_point(strict.params, phi % TWO_PI)
+        assert (got.x, got.y) == (want.x, want.y)
+        assert repr(got) == repr(want)  # -0.0 against 0.0 as well
 
 
 def test_sample_boundary_counterclockwise():

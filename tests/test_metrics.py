@@ -1,8 +1,9 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from saddlebos import (
     BosBoundary,
@@ -33,6 +34,7 @@ from saddlebos.geometry import (
     saddle_array_from_task,
     task_array_from_saddle,
 )
+from saddlebos import metrics
 from saddlebos.metrics import MAX_BINS
 
 from helpers import parallel_posture
@@ -225,6 +227,36 @@ def test_outer_border_indices_equal_the_lexsort_reference(
     assert got.dtype == want.dtype
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 400),
+    n_bins=st.integers(8, 64),
+    about=st.sampled_from(["origin", "mean"]),
+    block=st.sampled_from([1, 7, 64]),
+)
+def test_outer_border_indices_keep_the_latest_tie_across_blocks(seed, n, n_bins, about, block):
+    from saddlebos.metrics import _outer_border_indices, _polar_about
+
+    rng = np.random.default_rng(seed)
+    # a handful of distinct points, each repeated all over the trajectory:
+    # every sector's peak is tied in many blocks
+    pts = np.round(rng.normal(0.0, 1.0, (5, 2)), 1)[rng.integers(0, 5, n)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(metrics, "_BLOCK", block)
+        got = _outer_border_indices(*_polar_about(pts, about), n_bins)
+    assert np.array_equal(got, lexsort_outer_border_indices(pts, n_bins, about))
+
+
+def test_outer_border_keeps_the_latest_of_equal_radii_in_later_blocks(monkeypatch):
+    from saddlebos.metrics import _outer_border_indices
+
+    monkeypatch.setattr(metrics, "_BLOCK", 4)
+    radii = np.array([2.0, 1.0, 2.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 2.0, 1.0])
+    phis = np.full(len(radii), 0.5)  # one sector; the peak is tied in all three blocks
+    assert _outer_border_indices(radii, phis, 8).tolist() == [9]
+
+
 def test_compute_report_sorts_nothing(monkeypatch):
     posture = parallel_posture()
     points = np.random.default_rng(5).normal(0.0, 0.05, (10_000, 2))
@@ -379,6 +411,7 @@ def np_cov_ellipse(pts, k_sigma):
     angle=st.floats(0.0, math.pi),
     k_sigma=st.sampled_from([1.0, 2.0, 2.4477]),
 )
+@example(seed=0, n=250_000, center=(0.3, -0.2), spreads=(0.05, 0.02), angle=0.4, k_sigma=2.0)
 def test_covariance_ellipse_equals_the_np_cov_reference(seed, n, center, spreads, angle, k_sigma):
     rng = np.random.default_rng(seed)
     c, s = math.cos(angle), math.sin(angle)
@@ -451,6 +484,20 @@ def test_compute_report_scores_its_saddle_samples():
         score_saddle_samples(traj, saddle, codes[:-1])
 
 
+def boundary_cloud(seed, n):
+    """A random stance and ``n`` samples around its boundary, some on it and
+    some at the origin, as a task-space trajectory."""
+    posture = random_postures(1, seed=seed)[0]
+    frame, boundary = posture.frame(), posture.boundary()
+    rng = np.random.default_rng(seed)
+    phis = rng.uniform(-math.pi, math.pi, n)
+    factors = np.where(rng.random(n) < 0.1, 1.0, rng.uniform(0.8, 1.2, n))
+    factors[rng.random(n) < 0.02] = 0.0
+    radii = factors * _continuous_radii(boundary._shape, phis)
+    saddle = np.column_stack((radii * np.cos(phis), radii * np.sin(phis)))
+    return traj_from_xy(task_array_from_saddle(frame, saddle)), frame, boundary
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -460,16 +507,7 @@ def test_compute_report_scores_its_saddle_samples():
     tol=st.sampled_from([0.0, 1e-9, 1e-3]),
 )
 def test_compute_report_is_one_scoring_path(seed, n, n_bins, about, tol):
-    posture = random_postures(1, seed=seed)[0]
-    frame, boundary = posture.frame(), posture.boundary()
-    rng = np.random.default_rng(seed)
-    phis = rng.uniform(-math.pi, math.pi, n)
-    # around the boundary, with some samples on it and some at the origin
-    factors = np.where(rng.random(n) < 0.1, 1.0, rng.uniform(0.8, 1.2, n))
-    factors[rng.random(n) < 0.02] = 0.0
-    radii = factors * _continuous_radii(boundary._shape, phis)
-    saddle = np.column_stack((radii * np.cos(phis), radii * np.sin(phis)))
-    traj = traj_from_xy(task_array_from_saddle(frame, saddle))
+    traj, frame, boundary = boundary_cloud(seed, n)
     s = saddle_array_from_task(frame, traj.points)
     codes = classify_saddle_points(boundary, s, tol)
     polar_codes = classify_saddle_polar(boundary, *saddle_polar(s), tol)
@@ -477,3 +515,40 @@ def test_compute_report_is_one_scoring_path(seed, n, n_bins, about, tol):
     assert polar_codes.dtype == codes.dtype
     report = compute_report(traj, boundary, frame, n_bins, 2.0, tol, about)
     assert report == score_saddle_samples(traj, s, codes, n_bins, 2.0, about)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(3, 400),
+    n_bins=st.integers(8, 720),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+    block=st.sampled_from([1, 7, 64]),
+)
+def test_compute_report_scores_block_by_block(seed, n, n_bins, tol, block):
+    # blocks far smaller than the trajectory: the codes, the border, and the
+    # mean centre carried from block to block are those of one full pass
+    traj, frame, boundary = boundary_cloud(seed, n)
+    s = saddle_array_from_task(frame, traj.points)
+    codes = classify_saddle_points(boundary, s, tol)
+    for about in ("origin", "mean"):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(metrics, "_BLOCK", block)
+            report = compute_report(traj, boundary, frame, n_bins, 2.0, tol, about)
+        assert report == score_saddle_samples(traj, s, codes, n_bins, 2.0, about)
+
+
+def test_compute_report_memory_stays_within_48_bytes_per_sample():
+    # the full-length codes, radii, angles and sector bins, not a
+    # full-length Saddle-space array and its temporaries
+    posture = parallel_posture()
+    n = 250_000
+    points = np.random.default_rng(8).normal(0.0, 0.1, (n, 2))
+    traj = ComTrajectory(0.01 * np.arange(n), points)
+    tracemalloc.start()
+    try:
+        compute_report(traj, posture.boundary(), posture.frame())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 48 * n, f"peak {peak / n:.1f} bytes per sample"

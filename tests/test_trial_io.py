@@ -27,6 +27,7 @@ from saddlebos import (
     read_report,
 )
 from saddlebos.markers import MarkerTrial
+from saddlebos import trial_io
 from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin, _read_rows, round12, xy_csv_text
 from saddlebos.geometry import _continuous_shape
 
@@ -327,6 +328,20 @@ def test_column_reader_agrees_with_row_reader_on_fixed_cases(tmp_path, text):
     assert got_error == want_error
     if want is not None:
         assert_same_trial(got, want)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, trial_io._SCAN_BLOCK])
+def test_fill_blank_cells_marks_each_comma_that_ends_a_blank_cell(monkeypatch, block):
+    # tiny blocks put the comma and the byte after it in different blocks
+    monkeypatch.setattr(trial_io, "_SCAN_BLOCK", block)
+    fill = trial_io._fill_blank_cells
+    assert fill(b"0.5,,2,3\n") == b"0.5,nan,2,3\n"  # the first cell after the time
+    assert fill(b"0.5,1,\n0.6,1,2\n") == b"0.5,1,nan\n0.6,1,2\n"  # the end of a row
+    assert fill(b"0.5,1,2\n0.6,1,\n") == b"0.5,1,2\n0.6,1,nan\n"  # the end of the file
+    assert fill(b"0.5,,,,4\n") == b"0.5,nan,nan,nan,4\n"  # a run, the pairs overlapping
+    assert fill(b",,") == b",nan,"
+    for plain in (b"", b",", b"0.5,1,2\n", b"0.6,1,", b"0.5,1,\r\n"):
+        assert fill(plain) is plain  # no final newline, or a carriage return: not filled
 
 
 def long_trial_text(n_rows, dropout, seed=0):
