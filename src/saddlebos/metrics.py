@@ -138,7 +138,8 @@ def _outer_border_indices(radii: np.ndarray, phis: np.ndarray, n_bins: int) -> n
     centre: the binning every outer-border consumer shares.  Of equally far
     samples in a sector the latest (largest index) is kept.  Linear time, no
     sort: a scatter-max pass, block by block, bins the samples and finds each
-    sector's peak radius, a second pass the last sample at that peak."""
+    sector's peak radius, a second pass the last sample at that peak.  The
+    border of the borders of consecutive runs, in order, is that of all."""
     if n_bins < 8:
         raise ValueError(f"n_bins must be at least 8, got {n_bins}")
     if n_bins > MAX_BINS:
@@ -247,28 +248,46 @@ def compute_report(
     """Full metrics bundle for one trajectory against one boundary: the
     :func:`score_saddle_samples` of its Saddle-space samples and their codes.
     The samples are transformed, put in polar form and classified one block
-    of ``_BLOCK`` at a time, so no block's temporaries leave the cache and no
-    full-length Saddle-space array is made.  The polar pass about the stance
+    of ``_BLOCK`` at a time, so no block's temporaries leave the cache and
+    only the codes are kept at full length.  The polar pass about the stance
     origin serves the classifier and, for ``about="origin"``, the outer
-    border; ``about="mean"`` transforms each block again about the mean."""
+    border; ``about="mean"`` transforms each block again about the mean.
+    Each block of more than ``n_bins`` samples keeps only its own border,
+    and the border of what the blocks keep is the whole trajectory's: a
+    sector's peak is the largest of its blocks' peaks, and the latest
+    sample at it the latest of the blocks' latest."""
     n = len(traj)
     codes = np.empty(n, dtype=np.int8)
-    radii, phis = np.empty(n), np.empty(n)
+    kept = []  # per block: global indices, radii and angles of the samples it keeps
+
+    def keep_border(block, radii, phis):
+        if len(radii) <= n_bins:  # no more samples than sectors: nothing to drop
+            kept.append((np.arange(block.start, block.start + len(radii)), radii, phis))
+        else:
+            at = _outer_border_indices(radii, phis, n_bins)
+            kept.append((block.start + at, radii[at], phis[at]))
+
     sums = None
     for block in _blocks(n):
         pts = saddle_array_from_task(frame, traj.points[block])
-        radii[block], phis[block] = saddle_polar(pts)
-        codes[block] = classify_saddle_polar(boundary, radii[block], phis[block], tol)
-        if about == "mean":
+        radii, phis = saddle_polar(pts)
+        codes[block] = classify_saddle_polar(boundary, radii, phis, tol)
+        if about == "origin":
+            keep_border(block, radii, phis)
+        elif about == "mean":
             sums = _column_sums(pts, sums)
     if about != "origin":  # the border bins about another centre
         _check_about(about)
         center = sums / n
         for block in _blocks(n):
             pts = saddle_array_from_task(frame, traj.points[block]) - center
-            radii[block], phis[block] = saddle_polar(pts)
-    border = _outer_border_indices(radii, phis, n_bins)
-    del radii, phis  # not alive while the ellipse is built
+            radii, phis = saddle_polar(pts)
+            keep_border(block, radii, phis)
+    del pts, radii, phis
+    index, radii, phis = (np.concatenate(parts) for parts in zip(*kept))
+    del kept[:]
+    border = index[_outer_border_indices(radii, phis, n_bins)]
+    del index, radii, phis  # not alive while the ellipse is built
     return _score(traj, codes, border, k_sigma)
 
 

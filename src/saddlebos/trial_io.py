@@ -437,6 +437,14 @@ def xy_csv_text(points) -> str:
     return "x,y\n" + ("%.12g,%.12g\n" * (len(flat) // 2)) % tuple(flat)
 
 
+def round12_pairs(points) -> list[list[float]]:
+    """``[[round12(x), round12(y)], ...]`` of (n, 2) points, in one
+    formatting pass: each value printed as ``%.12g`` and read back."""
+    values = np.asarray(points, dtype=np.float64).reshape(-1)
+    text = ("%.12g " * len(values)) % tuple(values.tolist())
+    return np.array(text.split(), dtype=np.float64).reshape(-1, 2).tolist()
+
+
 def export_polygon(polygon: Polygon2, path, fmt: str | None = None) -> None:
     """Write a polygon as CSV (``x,y`` rows) or JSON, 12 significant digits.
 
@@ -447,7 +455,7 @@ def export_polygon(polygon: Polygon2, path, fmt: str | None = None) -> None:
         text = xy_csv_text(polygon.vertices)
     else:
         payload = {
-            "vertices": [[round12(x), round12(y)] for x, y in polygon.vertices],
+            "vertices": round12_pairs(polygon.vertices),
             "closed": True,
         }
         text = json.dumps(payload) + "\n"

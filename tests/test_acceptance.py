@@ -6,13 +6,16 @@ per criterion.
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import saddlebos
 from saddlebos import (
     BosBoundary,
     ComTrajectory,
@@ -210,13 +213,15 @@ def test_criterion_8_end_to_end_cli(tmp_path):
     with criterion("8 end-to-end CLI"):
         expected = json.loads(TRIAL_EXPECTED.read_text())
         outputs = []
+        # the child imports the package under test, installed or not
+        env = dict(os.environ, PYTHONPATH=str(Path(saddlebos.__file__).parents[1]))
         for run in range(2):
             out = tmp_path / f"report_{run}.json"
             t0 = time.perf_counter()
             proc = subprocess.run(
                 [sys.executable, "-m", "saddlebos", "analyze",
                  "--markers", str(TRIAL_CSV), "--out", str(out)],
-                capture_output=True, text=True,
+                capture_output=True, text=True, env=env,
             )
             elapsed = time.perf_counter() - t0
             assert proc.returncode == 0, proc.stderr

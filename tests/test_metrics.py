@@ -517,38 +517,56 @@ def test_compute_report_is_one_scoring_path(seed, n, n_bins, about, tol):
     assert report == score_saddle_samples(traj, s, codes, n_bins, 2.0, about)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(3, 400),
     n_bins=st.integers(8, 720),
     tol=st.sampled_from([0.0, 1e-9, 1e-3]),
     block=st.sampled_from([1, 7, 64]),
+    repeated=st.booleans(),
 )
-def test_compute_report_scores_block_by_block(seed, n, n_bins, tol, block):
-    # blocks far smaller than the trajectory: the codes, the border, and the
-    # mean centre carried from block to block are those of one full pass
+@example(seed=0, n=400, n_bins=64, tol=0.0, block=64, repeated=False)
+@example(seed=1, n=400, n_bins=8, tol=0.0, block=64, repeated=True)
+def test_compute_report_scores_block_by_block(seed, n, n_bins, tol, block, repeated):
+    # blocks far smaller than the trajectory: the codes, the mean centre
+    # carried from block to block, and the border of the blocks' borders are
+    # those of one full pass.  With n_bins >= block a block may keep every
+    # sample; repeated points tie each sector's peak in many blocks.
     traj, frame, boundary = boundary_cloud(seed, n)
+    if repeated:
+        pick = np.random.default_rng(seed).integers(0, 5, n)
+        pick[:5] = np.arange(min(n, 5))
+        traj = traj_from_xy(traj.points[pick])
     s = saddle_array_from_task(frame, traj.points)
     codes = classify_saddle_points(boundary, s, tol)
     for about in ("origin", "mean"):
+        borders = []
+
+        def spy_score(traj, codes, border, k_sigma, score=metrics._score):
+            borders.append(border)
+            return score(traj, codes, border, k_sigma)
+
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(metrics, "_BLOCK", block)
+            patch.setattr(metrics, "_score", spy_score)
             report = compute_report(traj, boundary, frame, n_bins, 2.0, tol, about)
         assert report == score_saddle_samples(traj, s, codes, n_bins, 2.0, about)
+        assert np.array_equal(borders[0], lexsort_outer_border_indices(s, n_bins, about))
 
 
-def test_compute_report_memory_stays_within_48_bytes_per_sample():
-    # the full-length codes, radii, angles and sector bins, not a
-    # full-length Saddle-space array and its temporaries
+@pytest.mark.parametrize("about", ["origin", "mean"])
+def test_compute_report_memory_stays_within_20_bytes_per_sample(about):
+    # the full-length int8 codes and the ellipse's (n, 2) deviations: no
+    # full-length radii, angles or sector bins, and no Saddle-space array
     posture = parallel_posture()
     n = 250_000
     points = np.random.default_rng(8).normal(0.0, 0.1, (n, 2))
     traj = ComTrajectory(0.01 * np.arange(n), points)
     tracemalloc.start()
     try:
-        compute_report(traj, posture.boundary(), posture.frame())
+        compute_report(traj, posture.boundary(), posture.frame(), about=about)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 48 * n, f"peak {peak / n:.1f} bytes per sample"
+    assert peak <= 20 * n, f"peak {peak / n:.1f} bytes per sample"

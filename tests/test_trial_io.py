@@ -28,7 +28,14 @@ from saddlebos import (
 )
 from saddlebos.markers import MarkerTrial
 from saddlebos import trial_io
-from saddlebos.trial_io import EXPECTED_COLUMNS, _has_margin, _read_rows, round12, xy_csv_text
+from saddlebos.trial_io import (
+    EXPECTED_COLUMNS,
+    _has_margin,
+    _read_rows,
+    round12,
+    round12_pairs,
+    xy_csv_text,
+)
 from saddlebos.geometry import _continuous_shape
 
 from helpers import TRIAL_CSV, complete_row, trial_csv_text
@@ -451,6 +458,15 @@ def test_xy_csv_text_prints_each_value_as_round12(values):
     points = np.array(values[: len(values) // 2 * 2], dtype=np.float64).reshape(-1, 2)
     want = "x,y\n" + "".join(f"{round12(x):.12g},{round12(y):.12g}\n" for x, y in points)
     assert xy_csv_text(points) == want
+
+
+@settings(max_examples=300)
+@given(values=st.lists(st.floats() | FLOAT_BITS | EDGE_FLOATS, max_size=40))
+def test_round12_pairs_round_each_value_as_round12(values):
+    # the per-vertex form is the reference
+    points = np.array(values[: len(values) // 2 * 2], dtype=np.float64).reshape(-1, 2)
+    want = [[round12(x), round12(y)] for x, y in points]
+    assert json.dumps(round12_pairs(points)) == json.dumps(want)
 
 
 def test_polygon_csv_has_header_and_rows(tmp_path):
