@@ -2,7 +2,9 @@
 
 Containment here is decided with the even-odd crossing rule on a sampled
 polygon, a different algorithm family from the radial test used by the main
-path, so agreement between the two is meaningful.  Star-shape verification
+path, so agreement between the two is meaningful.  The agreement check draws
+and compares its random points in blocks of ``_AGREEMENT_BLOCK`` points, so
+its memory does not grow with the number of points.  Star-shape verification
 counts actual ray/polygon-edge crossings, and a rigid-motion check compares
 transforming the inputs against transforming the outputs.  These routines
 favor obviousness over speed and back both the test suite and the
@@ -12,6 +14,7 @@ favor obviousness over speed and back both the test suite and the
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,10 @@ MAX_DISAGREEMENT_DISTANCE = 1e-6
 EQUIVARIANCE_VERTICES = 360
 EQUIVARIANCE_TOL = 1e-9
 
+# random points per block of check_containment_agreement
+_AGREEMENT_BLOCK = 4096
 # points per block of _distance_to_edges' point-by-edge arrays
-_DISTANCE_CHUNK = 256
+_DISTANCE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -121,46 +126,62 @@ def point_in_polygon(polygon: Polygon2, p: Point2, tol: float = 1e-9) -> Contain
 
 
 def classify_points(polygon: Polygon2, points: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Vectorized even-odd containment codes (+1/0/-1) for (n, 2) points.
+    """Vectorized even-odd containment codes (+1/0/-1) for (n, 2) points;
+    see :func:`_even_odd_kernel`."""
+    return _even_odd_kernel(polygon.vertices, tol)(np.asarray(points, dtype=float))
+
+
+def _even_odd_kernel(verts: np.ndarray, tol: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The even-odd classifier of the polygon ``verts``: its edge arrays are
+    built once here, and the returned function maps (n, 2) points to codes.
 
     Both tests share one list of candidate point/edge pairs: with the points
     sorted by y, two binary searches per edge find the points whose y lies
     within a margin (2 * tol plus four ulps of the largest |y|, so rounding
     cannot hide a point within tol) of the edge's y range.  Pairs inside the
-    edge's half-open y interval decide the even-odd crossings, and a point
-    within tol of any of its edges, by ``_segment_distance``, is On.
+    edge's half-open y interval decide the even-odd crossings.  A point
+    within tol of any of its edges, by ``_segment_distance``, is On; only
+    pairs whose x lies within the same margin (in x) of the edge's x range
+    are measured, since the nearest point computed on an edge lies within a
+    few ulps of that range.
     """
-    verts = polygon.vertices
-    points = np.asarray(points, dtype=float)
-    px, py = points[:, 0], points[:, 1]
     x1, y1 = verts[:, 0], verts[:, 1]
     nxt = np.roll(verts, -1, axis=0)
     x2, y2 = nxt[:, 0], nxt[:, 1]
     abx, aby = x2 - x1, y2 - y1
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = np.where(y2 != y1, abx / np.where(y2 != y1, aby, 1.0), 0.0)
-
-    order = np.argsort(py)
-    py_sorted = py[order]
     y_lo = np.minimum(y1, y2)
     y_hi = np.maximum(y1, y2)
-    margin = 2.0 * tol + 4.0 * np.spacing(np.abs(y1).max())
-    first = np.searchsorted(py_sorted, y_lo - margin, side="left")
-    last = np.searchsorted(py_sorted, y_hi + margin, side="right")
-    pair_counts = last - first
-    # pair k of edge j is the point at y-order position first[j] + k
-    e = np.repeat(np.arange(len(verts)), pair_counts)
-    shift = np.cumsum(pair_counts) - pair_counts - first
-    pt = order[np.arange(len(e)) - np.repeat(shift, pair_counts)]
-    qx, qy = px[pt], py[pt]
-    ax, ay, dx, dy = x1[e], y1[e], abx[e], aby[e]
+    y_margin = 2.0 * tol + 4.0 * np.spacing(np.abs(y1).max())
+    x_margin = 2.0 * tol + 4.0 * np.spacing(np.abs(x1).max())
+    y_lo_wide, y_hi_wide = y_lo - y_margin, y_hi + y_margin
+    x_lo_wide, x_hi_wide = np.minimum(x1, x2) - x_margin, np.maximum(x1, x2) + x_margin
+    edges = np.arange(len(verts))
 
-    crossing = (y_lo[e] <= qy) & (qy < y_hi[e]) & (qx < ax + (qy - ay) * slope[e])
-    inside = np.bincount(pt[crossing], minlength=len(points)) % 2 == 1
-    codes = np.where(inside, 1, -1).astype(np.int8)
+    def classify(points: np.ndarray) -> np.ndarray:
+        px, py = points[:, 0], points[:, 1]
+        order = np.argsort(py)
+        py_sorted = py[order]
+        first = np.searchsorted(py_sorted, y_lo_wide, side="left")
+        last = np.searchsorted(py_sorted, y_hi_wide, side="right")
+        pair_counts = last - first
+        # pair k of edge j is the point at y-order position first[j] + k
+        e = np.repeat(edges, pair_counts)
+        shift = np.cumsum(pair_counts) - pair_counts - first
+        pt = order[np.arange(len(e)) - np.repeat(shift, pair_counts)]
+        qx, qy = px[pt], py[pt]
 
-    codes[pt[_segment_distance(qx, qy, ax, ay, dx, dy) <= tol]] = 0
-    return codes
+        crossing = (y_lo[e] <= qy) & (qy < y_hi[e]) & (qx < x1[e] + (qy - y1[e]) * slope[e])
+        inside = np.bincount(pt[crossing], minlength=len(points)) % 2 == 1
+        codes = np.where(inside, 1, -1).astype(np.int8)
+
+        near = (x_lo_wide[e] <= qx) & (qx <= x_hi_wide[e])
+        e, pt, qx, qy = e[near], pt[near], qx[near], qy[near]
+        codes[pt[_segment_distance(qx, qy, x1[e], y1[e], abx[e], aby[e]) <= tol]] = 0
+        return codes
+
+    return classify
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +229,8 @@ def check_star_shape(polygon: Polygon2) -> StarShapeReport:
     bad = counts != 1
     return StarShapeReport(
         n_rays=n,
-        crossings=tuple(int(c) for c in counts),
-        violations=tuple(float(v) for v in phis[bad]),
+        crossings=tuple(counts.tolist()),
+        violations=tuple(phis[bad].tolist()),
     )
 
 
@@ -238,17 +259,23 @@ def check_containment_agreement(
 ) -> AgreementReport:
     """Compare radial containment against even-odd containment on the
     boundary sampled at AGREEMENT_VERTICES angles, for uniform random points
-    over its bounding box."""
+    over its bounding box.  The points are drawn, classified and compared
+    ``_AGREEMENT_BLOCK`` at a time (successive draws continue one stream, so
+    they are the points of one ``(n_points, 2)`` draw), and only the
+    disagreeing ones are kept."""
     if n_points < 1:
         raise ValueError(f"n_points must be at least 1, got {n_points}")
     poly = sample_boundary(boundary, AGREEMENT_VERTICES)
     lo, hi = poly.bounding_box()
     rng = seeded_rng(seed)
-    points = rng.uniform((lo.x, lo.y), (hi.x, hi.y), size=(n_points, 2))
-
-    radial = classify_saddle_points(boundary, points, AGREEMENT_TOL)
-    even_odd = classify_points(poly, points, AGREEMENT_TOL)
-    disagree = points[radial != even_odd]
+    even_odd = _even_odd_kernel(poly.vertices, AGREEMENT_TOL)
+    kept = []
+    for start in range(0, n_points, _AGREEMENT_BLOCK):
+        k = min(_AGREEMENT_BLOCK, n_points - start)
+        points = rng.uniform((lo.x, lo.y), (hi.x, hi.y), size=(k, 2))
+        radial = classify_saddle_points(boundary, points, AGREEMENT_TOL)
+        kept.append(points[radial != even_odd(points)])
+    disagree = np.concatenate(kept)
     max_dist = _distance_to_edges(poly.vertices, disagree).max() if len(disagree) else 0.0
     return AgreementReport(
         n_points=n_points,

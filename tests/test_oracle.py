@@ -1,8 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from saddlebos import (
     Containment,
@@ -156,8 +157,77 @@ def test_classify_points_matches_scalar_on_star_polygons(gaps, radii, seed):
     assert_matches_scalar(polygon, np.vstack((pts, edge_probes(polygon.vertices))))
 
 
+@st.composite
+def axis_parallel_polygons(draw):
+    """Polygons of 3 to 12 vertices, each vertex either free or sharing x or
+    y with the one before (so many edges are axis-parallel), moved by up to
+    1e6 m.  Not necessarily simple: the even-odd rule is defined anyway."""
+    n = draw(st.integers(3, 12))
+    coord = st.floats(-1.0, 1.0, allow_subnormal=False)
+    verts = np.array(draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n)))
+    for i, snap in enumerate(draw(st.lists(st.sampled_from([0, 1, None]), min_size=n, max_size=n))):
+        if i and snap is not None:
+            verts[i, snap] = verts[i - 1, snap]
+    offset = st.floats(-1e6, 1e6, allow_subnormal=False)
+    verts = verts + np.array([draw(offset), draw(offset)])
+    d = np.roll(verts, -1, axis=0) - verts
+    assume((np.hypot(d[:, 0], d[:, 1]) > 1e-6).all())
+    return Polygon2(verts)
+
+
+def ulp_steps(pts, k):
+    """``pts`` moved ``k`` ulps towards +inf (or -inf for negative ``k``), in x
+    and, separately, in y."""
+    moved = []
+    for axis in (0, 1):
+        q = pts.copy()
+        for _ in range(abs(k)):
+            q[:, axis] = np.nextafter(q[:, axis], math.copysign(math.inf, k))
+        moved.append(q)
+    return np.vstack(moved)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    polygon=axis_parallel_polygons(),
+    tol=st.sampled_from([0.0, 1e-9, 1e-3]),
+    t=st.floats(0.0, 1.0),
+)
+@example(
+    # one ulp to the right of a vertical edge's midpoint is On at tol 1e-9,
+    # though it lies outside the edge's x range: no x margin drops it
+    polygon=Polygon2(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]) + 1e6),
+    tol=1e-9,
+    t=0.5,
+)
+@example(
+    # one ulp left of the vertex at x = a is On at tol 0: the edge from x = 1
+    # computes its end as 1 + (a - 1), which rounds to that point, so a
+    # margin of 2 * tol without the four ulps drops it
+    polygon=Polygon2(np.array([[1.0, 0.0], [-0.9127555772777217, 0.0], [0.0, 1.0]])),
+    tol=0.0,
+    t=0.0,
+)
+def test_on_test_prefilter_keeps_every_on_point(polygon, tol, t):
+    # only pairs whose x lies within 2 * tol plus four ulps of an edge's x
+    # range are measured; points on, a few ulps off and tol off the edges
+    verts = polygon.vertices
+    on_edges = verts + t * (np.roll(verts, -1, axis=0) - verts)
+    base = np.vstack((edge_probes(verts, tol=tol), on_edges))
+    axis_steps = [base + s for s in ((tol, 0.0), (-tol, 0.0), (0.0, tol), (0.0, -tol))]
+    pts = np.vstack([base, *axis_steps] + [ulp_steps(base, k) for k in (1, -1, 3, -3)])
+    codes = classify_points(polygon, pts, tol)
+    want = [reference.point_in_polygon(polygon, Point2(x, y), tol) for x, y in pts]
+    assert [c == 0 for c in codes.tolist()] == [w is Containment.ON for w in want]
+    if tol > 0.0:
+        # at tol 0 the kernel's crossing x, rounded in another order than the
+        # reference's, may split a point an ulp off a slanted edge otherwise
+        names = {1: Containment.INSIDE, 0: Containment.ON, -1: Containment.OUTSIDE}
+        assert [names[c] for c in codes.tolist()] == want
+
+
 def test_distance_to_edges_matches_the_reference_bit_for_bit():
-    # 600 points span three of the kernel's blocks
+    # 600 points span 19 of the kernel's blocks, the last one partial
     polygon = stance_polygon(random_postures(1, seed=3)[0])
     lo, hi = polygon.bounding_box()
     pts = np.random.default_rng(2).uniform((lo.x, lo.y), (hi.x, hi.y), (600, 2))
@@ -292,6 +362,70 @@ def test_radial_and_even_odd_containment_agree_on_the_cornered_polygon(seed):
     disagree = pts[classify_saddle_points(boundary, pts, 1e-9) != classify_points(polygon, pts, 1e-9)]
     assert 100.0 * (len(pts) - len(disagree)) / len(pts) >= 99.8
     assert oracle._distance_to_edges(polygon.vertices, disagree).max(initial=0.0) <= 1e-6
+
+
+def agreement_at_once(boundary, n_points, seed):
+    """check_containment_agreement's report from one (n_points, 2) draw,
+    with both classifiers run over all the points at once."""
+    poly = sample_boundary(boundary, oracle.AGREEMENT_VERTICES)
+    lo, hi = poly.bounding_box()
+    pts = np.random.default_rng(seed).uniform((lo.x, lo.y), (hi.x, hi.y), size=(n_points, 2))
+    tol = oracle.AGREEMENT_TOL
+    disagree = pts[oracle.classify_saddle_points(boundary, pts, tol) != classify_points(poly, pts, tol)]
+    return oracle.AgreementReport(
+        n_points=n_points,
+        n_disagreements=len(disagree),
+        agreement_pct=100.0 * (n_points - len(disagree)) / n_points,
+        max_disagreement_distance=float(
+            oracle._distance_to_edges(poly.vertices, disagree).max(initial=0.0)
+        ),
+    )
+
+
+@st.composite
+def blocks_and_counts(draw):
+    block = draw(st.sampled_from([1, 7, 4096]))
+    edges = st.sampled_from([n for n in (1, block - 1, block, block + 1) if n >= 1])
+    return block, draw(st.one_of(edges, st.integers(1, 3 * block + 2)))
+
+
+# random-3 has one disagreeing point at validate's defaults
+AGREEMENT_POSTURES = [*posture_catalog(), random_postures(1, seed=3)[0]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    block_and_count=blocks_and_counts(),
+    index=st.integers(0, len(AGREEMENT_POSTURES) - 1),
+    seed=st.integers(0, 2**32 - 1),
+    radius_off=st.booleans(),
+)
+@example(block_and_count=(1, 1), index=0, seed=0, radius_off=True)
+@example(block_and_count=(7, 6), index=1, seed=1, radius_off=True)
+@example(block_and_count=(7, 8), index=2, seed=2, radius_off=False)
+@example(block_and_count=(7, 20), index=0, seed=1, radius_off=True)  # a disagreement in the last block
+@example(block_and_count=(4096, 4095), index=3, seed=3, radius_off=True)
+@example(block_and_count=(4096, 4097), index=4, seed=4, radius_off=True)
+@example(block_and_count=(4096, 20_000), index=6, seed=3, radius_off=False)
+def test_containment_agreement_blocks_match_one_pass(block_and_count, index, seed, radius_off):
+    block, n_points = block_and_count
+    boundary = AGREEMENT_POSTURES[index].boundary()
+    radial = oracle.classify_saddle_points
+    # a radius 5% too large puts disagreeing points in most blocks
+    scale = 1.05 if radius_off else 1.0
+    with mock.patch.object(
+        oracle, "classify_saddle_points", lambda b, pts, tol: radial(b, pts / scale, tol)
+    ), mock.patch.object(oracle, "_AGREEMENT_BLOCK", block):
+        got = check_containment_agreement(boundary, n_points=n_points, seed=seed)
+        assert got == agreement_at_once(boundary, n_points, seed)
+
+    # successive per-block draws are the points of one draw, bit for bit
+    lo, hi = sample_boundary(boundary, oracle.AGREEMENT_VERTICES).bounding_box()
+    rng = np.random.default_rng(seed)
+    sizes = [min(block, n_points - start) for start in range(0, n_points, block)]
+    blocks = [rng.uniform((lo.x, lo.y), (hi.x, hi.y), size=(k, 2)) for k in sizes]
+    one = np.random.default_rng(seed).uniform((lo.x, lo.y), (hi.x, hi.y), size=(n_points, 2))
+    assert np.concatenate(blocks).tobytes() == one.tobytes()
 
 
 def test_agreement_consistent_with_classifiers():

@@ -1,6 +1,7 @@
 """Scaling guards that need no clock: the ``tracemalloc`` peak of a call on
 four times the input stays within 4.5 times its peak on the input, which a
-quadratic intermediate, or a full-length array kept per block, would break."""
+quadratic intermediate, or a full-length array kept per block, would break.
+Where a call works in fixed-size blocks, its peak must not grow at all."""
 
 import math
 import tracemalloc
@@ -14,8 +15,11 @@ from saddlebos import (
     classify_saddle_points,
     compute_report,
     export_polygon,
+    random_postures,
+    sample_boundary,
     score_saddle_samples,
 )
+from saddlebos import oracle
 from saddlebos.geometry import saddle_array_from_task
 
 from helpers import parallel_posture
@@ -77,3 +81,20 @@ def test_json_polygon_export_memory_grows_linearly(tmp_path):
         return lambda: export_polygon(polygon, tmp_path / f"{n}.json")
 
     assert_linear_memory(make_call, n=20_000)
+
+
+def test_containment_agreement_memory_does_not_grow_with_the_points():
+    # the points are drawn and compared in blocks of oracle._AGREEMENT_BLOCK
+    boundary = random_postures(1, seed=3)[0].boundary()
+    oracle.check_containment_agreement(boundary, n_points=100)
+    at_n = peak_bytes(lambda: oracle.check_containment_agreement(boundary, n_points=20_000))
+    at_4n = peak_bytes(lambda: oracle.check_containment_agreement(boundary, n_points=80_000))
+    assert at_4n <= 1.25 * at_n, f"peak {at_n} bytes at 20 000 points, {at_4n} at 80 000"
+
+
+def test_distance_to_edges_point_by_edge_blocks_stay_small():
+    polygon = sample_boundary(random_postures(1, seed=3)[0].boundary(), 3600)
+    lo, hi = polygon.bounding_box()
+    pts = np.random.default_rng(2).uniform((lo.x, lo.y), (hi.x, hi.y), (2_000, 2))
+    peak = peak_bytes(lambda: oracle._distance_to_edges(polygon.vertices, pts))
+    assert peak < 8e6, f"peak {peak} bytes on 2 000 points against a 3600-gon"
